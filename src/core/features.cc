@@ -45,8 +45,8 @@ nameEmbedding(const std::string &name, double out[4])
 
 } // namespace
 
-std::vector<double>
-lightFeatureVector(const LightProfile &p)
+std::array<double, kLightFeatureCount>
+lightFeatureArray(const LightProfile &p)
 {
     double emb[4];
     nameEmbedding(p.kernelName, emb);
@@ -71,12 +71,19 @@ lightFeatureVector(const LightProfile &p)
     };
 }
 
+std::vector<double>
+lightFeatureVector(const LightProfile &p)
+{
+    auto a = lightFeatureArray(p);
+    return {a.begin(), a.end()};
+}
+
 ml::Matrix
 lightFeatures(const std::vector<LightProfile> &ps)
 {
     ml::Matrix X(ps.size(), kLightFeatureCount);
     for (size_t r = 0; r < ps.size(); ++r) {
-        auto v = lightFeatureVector(ps[r]);
+        auto v = lightFeatureArray(ps[r]);
         for (size_t c = 0; c < kLightFeatureCount; ++c)
             X.at(r, c) = v[c];
     }

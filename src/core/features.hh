@@ -8,6 +8,7 @@
 #ifndef PKA_CORE_FEATURES_HH
 #define PKA_CORE_FEATURES_HH
 
+#include <array>
 #include <vector>
 
 #include "ml/matrix.hh"
@@ -32,6 +33,11 @@ constexpr size_t kLightFeatureCount = 10;
  * Available for every launch, including the detailed-profiled prefix.
  */
 std::vector<double> lightFeatureVector(const silicon::LightProfile &p);
+
+/** lightFeatureVector as a fixed-size array, without an allocation. It
+ *  is a pure function of the name, grid/block and tensor dims. */
+std::array<double, kLightFeatureCount>
+lightFeatureArray(const silicon::LightProfile &p);
 
 /** Lightweight feature matrix over a profile list. */
 ml::Matrix lightFeatures(const std::vector<silicon::LightProfile> &ps);

@@ -199,15 +199,25 @@ common::Expected<SelectionOutcome>
 selectKernelsChecked(const Workload &w, const silicon::SiliconGpu &gpu,
                      const PkaOptions &options)
 {
-    silicon::DetailedProfiler detailed(gpu);
-    silicon::LightweightProfiler light(gpu);
+    return selectKernelsChecked(w, gpu, options, gpu.run(w));
+}
+
+common::Expected<SelectionOutcome>
+selectKernelsChecked(const Workload &w, const silicon::SiliconGpu &gpu,
+                     const PkaOptions &options,
+                     const silicon::AppExecution &silicon)
+{
+    using silicon::DetailedProfiler;
+    using silicon::LightweightProfiler;
+    DetailedProfiler detailed(gpu);
+    LightweightProfiler light(gpu);
 
     SelectionOutcome out;
 
     // Tractability test at full-size-equivalent scale: the generated
     // stream is `w.scale` of the paper's run, so real-world profiling
     // cost is the measured cost divided by the scale.
-    double full_cost = detailed.costSeconds(w);
+    double full_cost = DetailedProfiler::costSeconds(silicon);
     double scale = w.scale > 0 ? w.scale : 1.0;
     double full_equivalent = full_cost / scale;
 
@@ -218,7 +228,7 @@ selectKernelsChecked(const Workload &w, const silicon::SiliconGpu &gpu,
 
     if (full_equivalent <= options.detailedProfilingBudgetSec ||
         w.launches.size() <= options.twoLevelDetailedKernels) {
-        auto profiles = detailed.profile(w);
+        auto profiles = detailed.profile(w, 0, silicon);
         common::Expected<PksResult> pks =
             principalKernelSelectionChecked(std::move(profiles), pks_opts);
         if (!pks.ok())
@@ -237,7 +247,7 @@ selectKernelsChecked(const Workload &w, const silicon::SiliconGpu &gpu,
     tl.detailedKernels = options.twoLevelDetailedKernels;
     tl.pks = pks_opts;
     tl.abstainThreshold = options.abstainThreshold;
-    auto prefix = detailed.profile(w, tl.detailedKernels);
+    auto prefix = detailed.profile(w, tl.detailedKernels, silicon);
     auto all_light = light.profile(w);
     common::Expected<TwoLevelResult> two = twoLevelSelectionChecked(
         std::move(prefix), std::move(all_light), tl);
@@ -247,8 +257,9 @@ selectKernelsChecked(const Workload &w, const silicon::SiliconGpu &gpu,
     out.groups = std::move(t.groups);
     out.usedTwoLevel = true;
     out.detailedCount = t.detailedCount;
-    out.profilingCostSec = detailed.costSeconds(w, tl.detailedKernels) +
-                           light.costSeconds(w);
+    out.profilingCostSec =
+        DetailedProfiler::costSeconds(silicon, tl.detailedKernels) +
+        LightweightProfiler::costSeconds(silicon);
     out.ensembleUnanimity = t.ensembleUnanimity;
     out.validation = t.prefixSelection.validation;
     out.abstentions = t.abstentions;
@@ -261,8 +272,15 @@ SelectionOutcome
 selectKernels(const Workload &w, const silicon::SiliconGpu &gpu,
               const PkaOptions &options)
 {
+    return selectKernels(w, gpu, options, gpu.run(w));
+}
+
+SelectionOutcome
+selectKernels(const Workload &w, const silicon::SiliconGpu &gpu,
+              const PkaOptions &options, const silicon::AppExecution &silicon)
+{
     common::Expected<SelectionOutcome> res =
-        selectKernelsChecked(w, gpu, options);
+        selectKernelsChecked(w, gpu, options, silicon);
     if (!res.ok())
         common::fatal(res.error().str());
     return std::move(res.value());
@@ -390,6 +408,17 @@ runPka(const sim::SimEngine &engine, const Workload &traced,
        const sim::GpuSimulator &simulator, const PkaOptions &options,
        const CampaignCheckpoint *checkpoint, const CampaignPolicy *policy)
 {
+    return runPka(engine, traced, profiled, gpu.run(profiled), gpu,
+                  simulator, options, checkpoint, policy);
+}
+
+PkaAppResult
+runPka(const sim::SimEngine &engine, const Workload &traced,
+       const Workload &profiled, const silicon::AppExecution &profiledSilicon,
+       const silicon::SiliconGpu &gpu, const sim::GpuSimulator &simulator,
+       const PkaOptions &options, const CampaignCheckpoint *checkpoint,
+       const CampaignPolicy *policy)
+{
     PkaAppResult res;
     if (traced.launches.size() != profiled.launches.size()) {
         res.excluded = true;
@@ -400,7 +429,7 @@ runPka(const sim::SimEngine &engine, const Workload &traced,
         return res;
     }
 
-    res.selection = selectKernels(profiled, gpu, options);
+    res.selection = selectKernels(profiled, gpu, options, profiledSilicon);
     res.pks = simulateSelection(engine, simulator, traced, res.selection,
                                 nullptr, checkpoint, policy);
     res.pka = simulateSelection(engine, simulator, traced, res.selection,

@@ -248,6 +248,25 @@ selectKernelsChecked(const pka::workload::Workload &w,
                      const silicon::SiliconGpu &gpu,
                      const PkaOptions &options = {});
 
+/**
+ * The selection stage over one silicon pass: `silicon` must be
+ * gpu.run(w). The tractability test, both profilers' cost models and the
+ * detailed profiles' cycles all read it, so no launch executes twice.
+ * Bit-identical to the overloads without it, which make that pass
+ * themselves.
+ */
+common::Expected<SelectionOutcome>
+selectKernelsChecked(const pka::workload::Workload &w,
+                     const silicon::SiliconGpu &gpu,
+                     const PkaOptions &options,
+                     const silicon::AppExecution &silicon);
+
+/** selectKernels over one silicon pass (see selectKernelsChecked). */
+SelectionOutcome selectKernels(const pka::workload::Workload &w,
+                               const silicon::SiliconGpu &gpu,
+                               const PkaOptions &options,
+                               const silicon::AppExecution &silicon);
+
 /** Projected whole-app simulation statistics from representative runs. */
 struct AppProjection
 {
@@ -356,6 +375,22 @@ PkaAppResult runPka(const pka::workload::Workload &traced,
 PkaAppResult runPka(const sim::SimEngine &engine,
                     const pka::workload::Workload &traced,
                     const pka::workload::Workload &profiled,
+                    const silicon::SiliconGpu &gpu,
+                    const sim::GpuSimulator &simulator,
+                    const PkaOptions &options = {},
+                    const CampaignCheckpoint *checkpoint = nullptr,
+                    const CampaignPolicy *policy = nullptr);
+
+/**
+ * runPka with the profiled stream's silicon pass supplied by the caller
+ * (`profiledSilicon` must be gpu.run(profiled)), so a caller that also
+ * reports silicon totals runs silicon once. Bit-identical to the
+ * overload above.
+ */
+PkaAppResult runPka(const sim::SimEngine &engine,
+                    const pka::workload::Workload &traced,
+                    const pka::workload::Workload &profiled,
+                    const silicon::AppExecution &profiledSilicon,
                     const silicon::SiliconGpu &gpu,
                     const sim::GpuSimulator &simulator,
                     const PkaOptions &options = {},

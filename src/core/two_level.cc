@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "core/features.hh"
@@ -86,7 +88,7 @@ twoLevelSelection(const std::vector<DetailedProfile> &detailed,
     // Train the ensemble on the prefix's light features.
     ml::Matrix train_raw(detailed.size(), kLightFeatureCount);
     for (size_t i = 0; i < detailed.size(); ++i) {
-        auto v = lightFeatureVector(light[detailed[i].launchId]);
+        auto v = lightFeatureArray(light[detailed[i].launchId]);
         for (size_t c = 0; c < kLightFeatureCount; ++c)
             train_raw.at(i, c) = v[c];
     }
@@ -131,33 +133,36 @@ twoLevelSelection(const std::vector<DetailedProfile> &detailed,
                     fallback_centroids.at(g, c) /= fallback_counts[g];
     };
 
-    size_t unanimous = 0;
-    size_t classified = 0;
-    double confidence_sum = 0.0;
-    std::array<size_t, 3> disagreements{};
-    for (size_t i = 0; i < light.size(); ++i) {
-        if (covered[i])
-            continue;
-        auto raw = lightFeatureVector(light[i]);
-        ml::Matrix one = ml::Matrix::fromRows({raw});
-        ml::Matrix x = scaler.transform(one);
+    // The light feature vector is a pure function of (name, dims, tensor
+    // dims), so the ensemble's decision is too: classify each distinct
+    // vector once and look the rest up. Counters still accumulate once per
+    // launch, in launch order, so every sum matches classifying each
+    // launch afresh bit for bit.
+    struct Outcome
+    {
         std::array<uint32_t, 3> votes;
+        uint32_t label;
+        double confidence;
+        bool abstained;
+    };
+    auto classify = [&](const std::array<double, kLightFeatureCount> &raw) {
+        ml::Matrix x(1, kLightFeatureCount);
+        for (size_t c = 0; c < kLightFeatureCount; ++c)
+            x.at(0, c) = raw[c];
+        x = scaler.transform(x);
+        Outcome o;
         std::array<std::vector<double>, 3> probas;
         for (size_t mi = 0; mi < models.size(); ++mi) {
-            votes[mi] = models[mi]->predict(x.row(0));
+            o.votes[mi] = models[mi]->predict(x.row(0));
             probas[mi] = models[mi]->predictProba(x.row(0));
         }
-        uint32_t label = ml::majorityVote(votes);
-        double confidence =
-            (probas[0][label] + probas[1][label] + probas[2][label]) / 3.0;
-        if (votes[0] == votes[1] && votes[1] == votes[2])
-            ++unanimous;
-        ++classified;
-        confidence_sum += confidence;
-
-        if (options.abstainThreshold > 0.0 &&
-            confidence < options.abstainThreshold) {
-            ++res.abstentions;
+        o.label = ml::majorityVote(o.votes);
+        o.confidence = (probas[0][o.label] + probas[1][o.label] +
+                        probas[2][o.label]) /
+                       3.0;
+        o.abstained = options.abstainThreshold > 0.0 &&
+                      o.confidence < options.abstainThreshold;
+        if (o.abstained) {
             ensureFallback();
             ml::Matrix p = fallback_pca.transform(x, fallback_ncomp);
             uint32_t best_g = 0;
@@ -172,16 +177,53 @@ twoLevelSelection(const std::vector<DetailedProfile> &detailed,
                     best_g = g;
                 }
             }
-            label = best_g;
+            o.label = best_g;
+        }
+        return o;
+    };
+    using FeatureBits = std::array<uint64_t, kLightFeatureCount>;
+    struct FeatureBitsHash
+    {
+        size_t operator()(const FeatureBits &k) const
+        {
+            uint64_t h = 1469598103934665603ULL;
+            for (uint64_t v : k)
+                h = (h ^ v) * 1099511628211ULL;
+            return static_cast<size_t>(h ^ (h >> 29));
+        }
+    };
+    std::unordered_map<FeatureBits, Outcome, FeatureBitsHash> outcomes;
+
+    size_t unanimous = 0;
+    size_t classified = 0;
+    double confidence_sum = 0.0;
+    std::array<size_t, 3> disagreements{};
+    for (size_t i = 0; i < light.size(); ++i) {
+        if (covered[i])
+            continue;
+        const auto raw = lightFeatureArray(light[i]);
+        FeatureBits key;
+        std::memcpy(key.data(), raw.data(), sizeof key);
+        auto it = outcomes.find(key);
+        if (it == outcomes.end())
+            it = outcomes.emplace(key, classify(raw)).first;
+        const Outcome &o = it->second;
+
+        if (o.votes[0] == o.votes[1] && o.votes[1] == o.votes[2])
+            ++unanimous;
+        ++classified;
+        confidence_sum += o.confidence;
+        if (o.abstained) {
+            ++res.abstentions;
             ++res.fallbackMapped;
         }
-        for (size_t mi = 0; mi < votes.size(); ++mi)
-            if (votes[mi] != label)
+        for (size_t mi = 0; mi < o.votes.size(); ++mi)
+            if (o.votes[mi] != o.label)
                 ++disagreements[mi];
 
-        res.labels[i] = label;
-        res.groups[label].members.push_back(light[i].launchId);
-        res.groups[label].weight += 1.0;
+        res.labels[i] = o.label;
+        res.groups[o.label].members.push_back(light[i].launchId);
+        res.groups[o.label].weight += 1.0;
     }
     const double denom =
         classified > 0 ? static_cast<double>(classified) : 1.0;

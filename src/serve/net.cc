@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -62,6 +63,18 @@ fillUnixAddr(const std::string &path, sockaddr_un &sa)
     sa.sun_family = AF_UNIX;
     std::memcpy(sa.sun_path, path.c_str(), path.size() + 1);
     return true;
+}
+
+/**
+ * Send each write at once. The protocol's replies are small lines (a
+ * progress event, then RESULT); with Nagle's algorithm the second waits
+ * for the peer's delayed ACK of the first, ~40 ms per campaign.
+ */
+void
+setNoDelay(int fd)
+{
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 } // namespace
@@ -154,8 +167,11 @@ Listener::accept()
 {
     for (;;) {
         int fd = ::accept(fd_.get(), nullptr, nullptr);
-        if (fd >= 0)
+        if (fd >= 0) {
+            if (unixPath_.empty())
+                setNoDelay(fd);
             return Fd(fd);
+        }
         if (errno == EINTR || errno == ECONNABORTED)
             continue; // one connection died on the doorstep; keep going
         if (errno == EINVAL || errno == EBADF)
@@ -207,6 +223,7 @@ connectTo(const std::string &address)
     Fd out(fd);
     if (::connect(fd, reinterpret_cast<sockaddr *>(&sa), sizeof(sa)) != 0)
         return sysErr("connect " + address);
+    setNoDelay(fd);
     return out;
 }
 

@@ -111,8 +111,26 @@ DetailedProfiler::profile(const Workload &w, size_t max_kernels) const
     return out;
 }
 
+std::vector<DetailedProfile>
+DetailedProfiler::profile(const Workload &w, size_t max_kernels,
+                          const AppExecution &silicon) const
+{
+    PKA_ASSERT(silicon.launches.size() == w.launches.size(),
+               "silicon run does not match the stream");
+    size_t count = w.launches.size();
+    if (max_kernels > 0)
+        count = std::min(count, max_kernels);
+    std::vector<DetailedProfile> out;
+    out.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+        out.push_back(counters(w, i));
+        out.back().cycles = silicon.launches[i].cycles;
+    }
+    return out;
+}
+
 DetailedProfile
-DetailedProfiler::profileLaunch(const Workload &w, size_t index) const
+DetailedProfiler::counters(const Workload &w, size_t index) const
 {
     PKA_ASSERT(index < w.launches.size(), "launch index out of range");
     const auto &k = w.launches[index];
@@ -121,9 +139,36 @@ DetailedProfiler::profileLaunch(const Workload &w, size_t index) const
     p.kernelName = k.program->name;
     p.metrics = deriveKernelMetrics(k);
     addMeasurementNoise(p.metrics, w.seed, k.launchId);
-    p.cycles = gpu_.execute(k, w.seed).cycles;
     return p;
 }
+
+DetailedProfile
+DetailedProfiler::profileLaunch(const Workload &w, size_t index) const
+{
+    DetailedProfile p = counters(w, index);
+    p.cycles = gpu_.execute(w.launches[index], w.seed).cycles;
+    return p;
+}
+
+namespace
+{
+
+/** Replay cost of one launch that runs `seconds` on silicon. */
+double
+replayCost(double seconds)
+{
+    return DetailedProfiler::kPerKernelOverheadSec +
+           DetailedProfiler::kReplayFactor * seconds;
+}
+
+/** Tracing cost of a whole app that runs `seconds` over `launches`. */
+double
+traceCost(double seconds, size_t launches)
+{
+    return seconds * 1.15 + 2e-6 * static_cast<double>(launches);
+}
+
+} // namespace
 
 double
 DetailedProfiler::costSeconds(const Workload &w, size_t max_kernels) const
@@ -132,10 +177,21 @@ DetailedProfiler::costSeconds(const Workload &w, size_t max_kernels) const
     if (max_kernels > 0)
         count = std::min(count, max_kernels);
     double cost = 0.0;
-    for (size_t i = 0; i < count; ++i) {
-        double t = gpu_.execute(w.launches[i], w.seed).seconds;
-        cost += kPerKernelOverheadSec + kReplayFactor * t;
-    }
+    for (size_t i = 0; i < count; ++i)
+        cost += replayCost(gpu_.execute(w.launches[i], w.seed).seconds);
+    return cost;
+}
+
+double
+DetailedProfiler::costSeconds(const AppExecution &silicon,
+                              size_t max_kernels)
+{
+    size_t count = silicon.launches.size();
+    if (max_kernels > 0)
+        count = std::min(count, max_kernels);
+    double cost = 0.0;
+    for (size_t i = 0; i < count; ++i)
+        cost += replayCost(silicon.launches[i].seconds);
     return cost;
 }
 
@@ -167,7 +223,16 @@ LightweightProfiler::costSeconds(const Workload &w) const
     double app = 0.0;
     for (const auto &k : w.launches)
         app += gpu_.execute(k, w.seed).seconds;
-    return app * 1.15 + 2e-6 * static_cast<double>(w.launches.size());
+    return traceCost(app, w.launches.size());
+}
+
+double
+LightweightProfiler::costSeconds(const AppExecution &silicon)
+{
+    double app = 0.0;
+    for (const auto &l : silicon.launches)
+        app += l.seconds;
+    return traceCost(app, silicon.launches.size());
 }
 
 } // namespace pka::silicon

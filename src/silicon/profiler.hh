@@ -104,11 +104,27 @@ class DetailedProfiler
                                   size_t index) const;
 
     /**
+     * profile(w, max_kernels) with each launch's cycles taken from
+     * `silicon`, a SiliconGpu::run(w) on this profiler's GPU, instead of
+     * executing the launch again. Bit-identical to profile(w, max_kernels).
+     */
+    std::vector<DetailedProfile>
+    profile(const pka::workload::Workload &w, size_t max_kernels,
+            const AppExecution &silicon) const;
+
+    /**
      * Wall-clock cost of profiling the first `max_kernels` launches
      * (0 = all): per-kernel replay overhead dominates for short kernels.
      */
     double costSeconds(const pka::workload::Workload &w,
                        size_t max_kernels = 0) const;
+
+    /**
+     * costSeconds(w, max_kernels) from `silicon`, a SiliconGpu::run(w):
+     * the same sum in the same order, bit-identical, executing nothing.
+     */
+    static double costSeconds(const AppExecution &silicon,
+                              size_t max_kernels = 0);
 
     /** Per-kernel fixed replay overhead (seconds). */
     static constexpr double kPerKernelOverheadSec = 1.2;
@@ -117,6 +133,10 @@ class DetailedProfiler
     static constexpr double kReplayFactor = 40.0;
 
   private:
+    /** A launch's profile without its measured cycles. */
+    DetailedProfile counters(const pka::workload::Workload &w,
+                             size_t index) const;
+
     const SiliconGpu &gpu_;
 };
 
@@ -132,6 +152,10 @@ class LightweightProfiler
 
     /** Wall-clock cost of tracing the whole app. */
     double costSeconds(const pka::workload::Workload &w) const;
+
+    /** costSeconds(w) from `silicon`, a SiliconGpu::run(w): bit-identical,
+     *  executing nothing. */
+    static double costSeconds(const AppExecution &silicon);
 
   private:
     const SiliconGpu &gpu_;

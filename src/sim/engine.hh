@@ -179,9 +179,11 @@ struct EngineOptions
      * a lone huge kernel picks up the whole budget. Results are
      * bit-identical at any team size, so this knob (and the moment-to-
      * moment token availability) never affects results or cache keys.
-     * 0 = auto (cap at the thread budget); 1 = never shard.
+     * 0 = auto (cap at the thread budget); 1 (the default) = never shard.
+     * Sharding is off by default: its epoch barriers cost more than they
+     * recover on the suite's big kernels (b+tree, sgemm).
      */
-    unsigned smThreads = 0;
+    unsigned smThreads = 1;
 };
 
 /**

@@ -58,7 +58,7 @@ WorkloadBuilder::WorkloadBuilder(std::string suite, std::string name,
 
 WorkloadBuilder &
 WorkloadBuilder::launch(ProgramPtr program, Dim3 grid, Dim3 block,
-                        const LaunchOpts &opts)
+                        LaunchOpts opts)
 {
     PKA_ASSERT(program != nullptr, "launch needs a program");
     PKA_ASSERT(grid.total() > 0 && block.total() > 0,
@@ -73,7 +73,7 @@ WorkloadBuilder::launch(ProgramPtr program, Dim3 grid, Dim3 block,
     k.smemPerBlock = opts.smem;
     k.iterations = std::max<uint32_t>(1, opts.iterations);
     k.ctaWorkCv = opts.ctaWorkCv;
-    k.tensorDims = opts.tensorDims;
+    k.tensorDims = std::move(opts.tensorDims);
     wl_.launches.push_back(std::move(k));
     return *this;
 }

@@ -57,7 +57,7 @@ class WorkloadBuilder
 
     /** Append one launch; launch ids are assigned chronologically. */
     WorkloadBuilder &launch(ProgramPtr program, Dim3 grid, Dim3 block,
-                            const LaunchOpts &opts = {});
+                            LaunchOpts opts = {});
 
     /** Number of launches added so far. */
     size_t size() const { return wl_.launches.size(); }

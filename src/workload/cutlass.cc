@@ -57,27 +57,43 @@ gemmWorkload(const std::string &name, const GemmShape &shape,
     return b.build();
 }
 
+/** Registry adapter: the CUTLASS input with shape kShapes[I]. */
+template <int I, bool TensorCore>
+Workload
+gemmInput(const std::string &name, const GenOptions &)
+{
+    return gemmWorkload(name, kShapes[I], TensorCore);
+}
+
+constexpr WorkloadEntry kCutlass[] = {
+    {"cutlass", "sgemm_2560x128x2560", gemmInput<0, false>},
+    {"cutlass", "sgemm_2560x512x2560", gemmInput<1, false>},
+    {"cutlass", "sgemm_2560x1024x2560", gemmInput<2, false>},
+    {"cutlass", "sgemm_4096x128x4096", gemmInput<3, false>},
+    {"cutlass", "sgemm_4096x512x4096", gemmInput<4, false>},
+    {"cutlass", "sgemm_4096x1024x4096", gemmInput<5, false>},
+    {"cutlass", "sgemm_4096x4096x4096", gemmInput<6, false>},
+    {"cutlass", "sgemm_1024x1024x1024", gemmInput<7, false>},
+    {"cutlass", "sgemm_512x2048x512", gemmInput<8, false>},
+    {"cutlass", "sgemm_8192x128x2048", gemmInput<9, false>},
+    {"cutlass", "wgemm_2560x128x2560", gemmInput<0, true>},
+    {"cutlass", "wgemm_2560x512x2560", gemmInput<1, true>},
+    {"cutlass", "wgemm_2560x1024x2560", gemmInput<2, true>},
+    {"cutlass", "wgemm_4096x128x4096", gemmInput<3, true>},
+    {"cutlass", "wgemm_4096x512x4096", gemmInput<4, true>},
+    {"cutlass", "wgemm_4096x1024x4096", gemmInput<5, true>},
+    {"cutlass", "wgemm_4096x4096x4096", gemmInput<6, true>},
+    {"cutlass", "wgemm_1024x1024x1024", gemmInput<7, true>},
+    {"cutlass", "wgemm_512x2048x512", gemmInput<8, true>},
+    {"cutlass", "wgemm_8192x128x2048", gemmInput<9, true>},
+};
+
 } // namespace
 
-std::vector<Workload>
-buildCutlass(const GenOptions &)
+std::span<const WorkloadEntry>
+detail::cutlassEntries()
 {
-    std::vector<Workload> out;
-    for (int i = 0; i < 10; ++i) {
-        const auto &s = kShapes[i];
-        std::string shape_str = std::to_string(s.m) + "x" +
-                                std::to_string(s.n) + "x" +
-                                std::to_string(s.k);
-        out.push_back(gemmWorkload("sgemm_" + shape_str, s, false));
-    }
-    for (int i = 0; i < 10; ++i) {
-        const auto &s = kShapes[i];
-        std::string shape_str = std::to_string(s.m) + "x" +
-                                std::to_string(s.n) + "x" +
-                                std::to_string(s.k);
-        out.push_back(gemmWorkload("wgemm_" + shape_str, s, true));
-    }
-    return out;
+    return kCutlass;
 }
 
 } // namespace pka::workload

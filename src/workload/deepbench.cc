@@ -144,54 +144,107 @@ rnnWorkload(const std::string &name, int input, bool training, bool tc)
     return b.build();
 }
 
+/** Registry adapters: input `I` of one (kind, training, tensor-core)
+ *  family. */
+template <int I, bool Training, bool TensorCore>
+Workload
+conv(const std::string &name, const GenOptions &opts)
+{
+    return convWorkload(name, I, Training, TensorCore, opts.underProfiler);
+}
+
+template <int I, bool Training, bool TensorCore>
+Workload
+gemm(const std::string &name, const GenOptions &)
+{
+    return gemmWorkload(name, I, Training, TensorCore);
+}
+
+template <int I, bool Training, bool TensorCore>
+Workload
+rnn(const std::string &name, const GenOptions &)
+{
+    return rnnWorkload(name, I, Training, TensorCore);
+}
+
+constexpr WorkloadEntry kDeepbench[] = {
+    {"deepbench", "conv_inf_in0", conv<0, false, false>},
+    {"deepbench", "conv_inf_in1", conv<1, false, false>},
+    {"deepbench", "conv_inf_in2", conv<2, false, false>},
+    {"deepbench", "conv_inf_in3", conv<3, false, false>},
+    {"deepbench", "conv_inf_in4", conv<4, false, false>},
+    {"deepbench", "conv_train_in0", conv<0, true, false>},
+    {"deepbench", "conv_train_in1", conv<1, true, false>},
+    {"deepbench", "conv_train_in2", conv<2, true, false>},
+    {"deepbench", "conv_train_in3", conv<3, true, false>},
+    {"deepbench", "conv_train_in4", conv<4, true, false>},
+    {"deepbench", "conv_inf_tc_in0", conv<0, false, true>},
+    {"deepbench", "conv_inf_tc_in1", conv<1, false, true>},
+    {"deepbench", "conv_inf_tc_in2", conv<2, false, true>},
+    {"deepbench", "conv_inf_tc_in3", conv<3, false, true>},
+    {"deepbench", "conv_inf_tc_in4", conv<4, false, true>},
+    {"deepbench", "conv_train_tc_in0", conv<0, true, true>},
+    {"deepbench", "conv_train_tc_in1", conv<1, true, true>},
+    {"deepbench", "conv_train_tc_in2", conv<2, true, true>},
+    {"deepbench", "conv_train_tc_in3", conv<3, true, true>},
+    {"deepbench", "conv_train_tc_in4", conv<4, true, true>},
+    {"deepbench", "gemm_inf_in0", gemm<0, false, false>},
+    {"deepbench", "gemm_inf_in1", gemm<1, false, false>},
+    {"deepbench", "gemm_inf_in2", gemm<2, false, false>},
+    {"deepbench", "gemm_inf_in3", gemm<3, false, false>},
+    {"deepbench", "gemm_inf_in4", gemm<4, false, false>},
+    {"deepbench", "gemm_train_in0", gemm<0, true, false>},
+    {"deepbench", "gemm_train_in1", gemm<1, true, false>},
+    {"deepbench", "gemm_train_in2", gemm<2, true, false>},
+    {"deepbench", "gemm_train_in3", gemm<3, true, false>},
+    {"deepbench", "gemm_train_in4", gemm<4, true, false>},
+    {"deepbench", "gemm_inf_tc_in0", gemm<0, false, true>},
+    {"deepbench", "gemm_inf_tc_in1", gemm<1, false, true>},
+    {"deepbench", "gemm_inf_tc_in2", gemm<2, false, true>},
+    {"deepbench", "gemm_inf_tc_in3", gemm<3, false, true>},
+    {"deepbench", "gemm_inf_tc_in4", gemm<4, false, true>},
+    {"deepbench", "gemm_train_tc_in0", gemm<0, true, true>},
+    {"deepbench", "gemm_train_tc_in1", gemm<1, true, true>},
+    {"deepbench", "gemm_train_tc_in2", gemm<2, true, true>},
+    {"deepbench", "gemm_train_tc_in3", gemm<3, true, true>},
+    {"deepbench", "gemm_train_tc_in4", gemm<4, true, true>},
+    {"deepbench", "rnn_inf_in0", rnn<0, false, false>},
+    {"deepbench", "rnn_inf_in1", rnn<1, false, false>},
+    {"deepbench", "rnn_inf_in2", rnn<2, false, false>},
+    {"deepbench", "rnn_inf_in3", rnn<3, false, false>},
+    {"deepbench", "rnn_inf_in4", rnn<4, false, false>},
+    {"deepbench", "rnn_inf_in5", rnn<5, false, false>},
+    {"deepbench", "rnn_inf_in6", rnn<6, false, false>},
+    {"deepbench", "rnn_inf_in7", rnn<7, false, false>},
+    {"deepbench", "rnn_inf_in8", rnn<8, false, false>},
+    {"deepbench", "rnn_train_in0", rnn<0, true, false>},
+    {"deepbench", "rnn_train_in1", rnn<1, true, false>},
+    {"deepbench", "rnn_train_in2", rnn<2, true, false>},
+    {"deepbench", "rnn_train_in3", rnn<3, true, false>},
+    {"deepbench", "rnn_train_in4", rnn<4, true, false>},
+    {"deepbench", "rnn_inf_tc_in0", rnn<0, false, true>},
+    {"deepbench", "rnn_inf_tc_in1", rnn<1, false, true>},
+    {"deepbench", "rnn_inf_tc_in2", rnn<2, false, true>},
+    {"deepbench", "rnn_inf_tc_in3", rnn<3, false, true>},
+    {"deepbench", "rnn_inf_tc_in4", rnn<4, false, true>},
+    {"deepbench", "rnn_inf_tc_in5", rnn<5, false, true>},
+    {"deepbench", "rnn_inf_tc_in6", rnn<6, false, true>},
+    {"deepbench", "rnn_inf_tc_in7", rnn<7, false, true>},
+    {"deepbench", "rnn_inf_tc_in8", rnn<8, false, true>},
+    {"deepbench", "rnn_inf_tc_in9", rnn<9, false, true>},
+    {"deepbench", "rnn_train_tc_in0", rnn<0, true, true>},
+    {"deepbench", "rnn_train_tc_in1", rnn<1, true, true>},
+    {"deepbench", "rnn_train_tc_in2", rnn<2, true, true>},
+    {"deepbench", "rnn_train_tc_in3", rnn<3, true, true>},
+    {"deepbench", "rnn_train_tc_in4", rnn<4, true, true>},
+};
+
 } // namespace
 
-std::vector<Workload>
-buildDeepbench(const GenOptions &opts)
+std::span<const WorkloadEntry>
+detail::deepbenchEntries()
 {
-    std::vector<Workload> out;
-    auto add_family = [&](const std::string &prefix, int count, auto &&fn) {
-        for (int i = 0; i < count; ++i)
-            out.push_back(fn(prefix + "_in" + std::to_string(i), i));
-    };
-
-    add_family("conv_inf", 5, [&](const std::string &n, int i) {
-        return convWorkload(n, i, false, false, opts.underProfiler);
-    });
-    add_family("conv_train", 5, [&](const std::string &n, int i) {
-        return convWorkload(n, i, true, false, opts.underProfiler);
-    });
-    add_family("conv_inf_tc", 5, [&](const std::string &n, int i) {
-        return convWorkload(n, i, false, true, opts.underProfiler);
-    });
-    add_family("conv_train_tc", 5, [&](const std::string &n, int i) {
-        return convWorkload(n, i, true, true, opts.underProfiler);
-    });
-    add_family("gemm_inf", 5, [&](const std::string &n, int i) {
-        return gemmWorkload(n, i, false, false);
-    });
-    add_family("gemm_train", 5, [&](const std::string &n, int i) {
-        return gemmWorkload(n, i, true, false);
-    });
-    add_family("gemm_inf_tc", 5, [&](const std::string &n, int i) {
-        return gemmWorkload(n, i, false, true);
-    });
-    add_family("gemm_train_tc", 5, [&](const std::string &n, int i) {
-        return gemmWorkload(n, i, true, true);
-    });
-    add_family("rnn_inf", 9, [&](const std::string &n, int i) {
-        return rnnWorkload(n, i, false, false);
-    });
-    add_family("rnn_train", 5, [&](const std::string &n, int i) {
-        return rnnWorkload(n, i, true, false);
-    });
-    add_family("rnn_inf_tc", 10, [&](const std::string &n, int i) {
-        return rnnWorkload(n, i, false, true);
-    });
-    add_family("rnn_train_tc", 5, [&](const std::string &n, int i) {
-        return rnnWorkload(n, i, true, true);
-    });
-    return out;
+    return kDeepbench;
 }
 
 } // namespace pka::workload

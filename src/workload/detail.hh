@@ -8,9 +8,12 @@
 #define PKA_WORKLOAD_DETAIL_HH
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <string_view>
 
 #include "common/rng.hh"
+#include "workload/suites.hh"
 
 namespace pka::workload::detail
 {
@@ -33,6 +36,26 @@ workloadRng(std::string_view suite, std::string_view name)
 {
     return pka::common::Rng::forKey(stableHash(suite), stableHash(name));
 }
+
+/** Parameter types of a registry generator, for terse table rows. */
+using NameArg = const std::string &;
+using OptsArg = const GenOptions &;
+
+/** Adapt a generator that takes no arguments to the registry signature. */
+template <Workload (*Fn)()>
+Workload
+fixed(NameArg, OptsArg)
+{
+    return Fn();
+}
+
+/** Per-suite registry tables, concatenated by workloadRegistry(). */
+std::span<const WorkloadEntry> rodiniaEntries();
+std::span<const WorkloadEntry> parboilEntries();
+std::span<const WorkloadEntry> polybenchEntries();
+std::span<const WorkloadEntry> cutlassEntries();
+std::span<const WorkloadEntry> deepbenchEntries();
+std::span<const WorkloadEntry> mlperfEntries();
 
 } // namespace pka::workload::detail
 

@@ -331,21 +331,32 @@ unet3dInference(double scale)
     return b.build();
 }
 
+using detail::NameArg;
+using detail::OptsArg;
+
+constexpr WorkloadEntry kMlperf[] = {
+    {"mlperf", "bert_inference",
+     [](NameArg, OptsArg o) { return bertInference(o.mlperfScale); }},
+    {"mlperf", "ssd_training",
+     [](NameArg, OptsArg o) { return ssdTraining(o.mlperfScale); }},
+    {"mlperf", "resnet50_64b",
+     [](NameArg n, OptsArg o) { return resnet(n, 64, o.mlperfScale); }},
+    {"mlperf", "resnet50_128b",
+     [](NameArg n, OptsArg o) { return resnet(n, 128, o.mlperfScale); }},
+    {"mlperf", "resnet50_256b",
+     [](NameArg n, OptsArg o) { return resnet(n, 256, o.mlperfScale); }},
+    {"mlperf", "gnmt_training",
+     [](NameArg, OptsArg o) { return gnmtTraining(o.mlperfScale); }},
+    {"mlperf", "unet3d_inference",
+     [](NameArg, OptsArg o) { return unet3dInference(o.mlperfScale); }},
+};
+
 } // namespace
 
-std::vector<Workload>
-buildMlperf(const GenOptions &opts)
+std::span<const WorkloadEntry>
+detail::mlperfEntries()
 {
-    double s = opts.mlperfScale;
-    std::vector<Workload> out;
-    out.push_back(bertInference(s));
-    out.push_back(ssdTraining(s));
-    out.push_back(resnet("resnet50_64b", 64, s));
-    out.push_back(resnet("resnet50_128b", 128, s));
-    out.push_back(resnet("resnet50_256b", 256, s));
-    out.push_back(gnmtTraining(s));
-    out.push_back(unet3dInference(s));
-    return out;
+    return kMlperf;
 }
 
 } // namespace pka::workload

@@ -149,21 +149,25 @@ pbStencil()
     return b.build();
 }
 
+using detail::fixed;
+
+constexpr WorkloadEntry kParboil[] = {
+    {"parboil", "bfs", fixed<pbBfs>},
+    {"parboil", "cutcp", fixed<cutcp>},
+    {"parboil", "histo", fixed<histo>},
+    {"parboil", "mri", fixed<mri>},
+    {"parboil", "sad", fixed<sad>},
+    {"parboil", "sgemm", fixed<sgemm>},
+    {"parboil", "spmv", fixed<spmv>},
+    {"parboil", "stencil", fixed<pbStencil>},
+};
+
 } // namespace
 
-std::vector<Workload>
-buildParboil(const GenOptions &)
+std::span<const WorkloadEntry>
+detail::parboilEntries()
 {
-    std::vector<Workload> out;
-    out.push_back(pbBfs());
-    out.push_back(cutcp());
-    out.push_back(histo());
-    out.push_back(mri());
-    out.push_back(sad());
-    out.push_back(sgemm());
-    out.push_back(spmv());
-    out.push_back(pbStencil());
-    return out;
+    return kParboil;
 }
 
 } // namespace pka::workload

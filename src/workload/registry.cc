@@ -1,39 +1,51 @@
 /**
  * @file
- * Workload registry: builds all 147 workloads and resolves workloads by
- * name.
+ * Workload registry: the suite tables, concatenated in suite order, and
+ * name lookup that builds only the named workload.
  */
 
 #include "workload/suites.hh"
 
-#include "common/logging.hh"
+#include <vector>
+
+#include "workload/detail.hh"
 
 namespace pka::workload
 {
+
+std::span<const WorkloadEntry>
+workloadRegistry()
+{
+    // Built on first use, not at process start; holds names and function
+    // pointers only.
+    static const std::vector<WorkloadEntry> all = [] {
+        std::vector<WorkloadEntry> v;
+        for (auto suite :
+             {detail::rodiniaEntries(), detail::parboilEntries(),
+              detail::polybenchEntries(), detail::cutlassEntries(),
+              detail::deepbenchEntries(), detail::mlperfEntries()})
+            v.insert(v.end(), suite.begin(), suite.end());
+        return v;
+    }();
+    return all;
+}
 
 std::vector<Workload>
 allWorkloads(const GenOptions &opts)
 {
     std::vector<Workload> out;
-    auto append = [&out](std::vector<Workload> v) {
-        for (auto &w : v)
-            out.push_back(std::move(w));
-    };
-    append(buildRodinia(opts));
-    append(buildParboil(opts));
-    append(buildPolybench(opts));
-    append(buildCutlass(opts));
-    append(buildDeepbench(opts));
-    append(buildMlperf(opts));
+    out.reserve(workloadRegistry().size());
+    for (const WorkloadEntry &e : workloadRegistry())
+        out.push_back(e.build(e.name, opts));
     return out;
 }
 
 std::optional<Workload>
 buildWorkload(const std::string &name, const GenOptions &opts)
 {
-    for (auto &w : allWorkloads(opts))
-        if (w.name == name)
-            return std::move(w);
+    for (const WorkloadEntry &e : workloadRegistry())
+        if (name == e.name)
+            return e.build(name, opts);
     return std::nullopt;
 }
 

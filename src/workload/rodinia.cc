@@ -302,41 +302,62 @@ srad(const std::string &name, int iters, int programs)
     return b.build();
 }
 
+using detail::fixed;
+using detail::NameArg;
+using detail::OptsArg;
+
+constexpr WorkloadEntry kRodinia[] = {
+    {"rodinia", "b+tree", fixed<btree>},
+    {"rodinia", "backprop", fixed<backprop>},
+    {"rodinia", "bfs1MW",
+     [](NameArg n, OptsArg) { return bfs(n, 12, true, 512); }},
+    {"rodinia", "bfs4096",
+     [](NameArg n, OptsArg) { return bfs(n, 6, true, 16); }},
+    {"rodinia", "bfs65536",
+     [](NameArg n, OptsArg) { return bfs(n, 10, false, 32); }},
+    {"rodinia", "dwt2d_192", [](NameArg n, OptsArg) { return dwt2d(n, 6); }},
+    {"rodinia", "dwt2d_rgb", [](NameArg n, OptsArg) { return dwt2d(n, 4); }},
+    {"rodinia", "gauss_208",
+     [](NameArg n, OptsArg) { return gaussian(n, 208, false); }},
+    {"rodinia", "gauss_mat4",
+     [](NameArg n, OptsArg) { return gaussian(n, 4, false); }},
+    {"rodinia", "gauss_s16",
+     [](NameArg n, OptsArg) { return gaussian(n, 16, true); }},
+    {"rodinia", "gauss_s64",
+     [](NameArg n, OptsArg) { return gaussian(n, 64, true); }},
+    {"rodinia", "gauss_s256",
+     [](NameArg n, OptsArg) { return gaussian(n, 256, true); }},
+    {"rodinia", "hots_1024",
+     [](NameArg n, OptsArg) { return hotspot(n, 43); }},
+    {"rodinia", "hots_512", [](NameArg n, OptsArg) { return hotspot(n, 22); }},
+    {"rodinia", "hstort_500k",
+     [](NameArg n, OptsArg) { return hybridsort(n, 9, 0.4); }},
+    {"rodinia", "hstort_r",
+     [](NameArg n, OptsArg) { return hybridsort(n, 10, 0.7); }},
+    {"rodinia", "kmeans_28k",
+     [](NameArg n, OptsArg) { return kmeans(n, 6, 28, 0.35); }},
+    {"rodinia", "kmeans_819k",
+     [](NameArg n, OptsArg) { return kmeans(n, 10, 800, 0.5); }},
+    {"rodinia", "kmeans_oi",
+     [](NameArg n, OptsArg) { return kmeans(n, 8, 640, 0.5); }},
+    {"rodinia", "lavaMD", fixed<lavamd>},
+    {"rodinia", "lud_i", [](NameArg n, OptsArg) { return lud(n, 56); }},
+    {"rodinia", "lud_256", [](NameArg n, OptsArg) { return lud(n, 16); }},
+    {"rodinia", "myocyte",
+     [](NameArg, OptsArg o) { return myocyte(o.underProfiler); }},
+    {"rodinia", "nn", fixed<nn>},
+    {"rodinia", "nw", fixed<nw>},
+    {"rodinia", "scluster", fixed<streamcluster>},
+    {"rodinia", "srad_v1", [](NameArg n, OptsArg) { return srad(n, 100, 5); }},
+    {"rodinia", "srad_v2", [](NameArg n, OptsArg) { return srad(n, 100, 2); }},
+};
+
 } // namespace
 
-std::vector<Workload>
-buildRodinia(const GenOptions &opts)
+std::span<const WorkloadEntry>
+detail::rodiniaEntries()
 {
-    std::vector<Workload> out;
-    out.push_back(btree());
-    out.push_back(backprop());
-    out.push_back(bfs("bfs1MW", 12, true, 512));
-    out.push_back(bfs("bfs4096", 6, true, 16));
-    out.push_back(bfs("bfs65536", 10, false, 32));
-    out.push_back(dwt2d("dwt2d_192", 6));
-    out.push_back(dwt2d("dwt2d_rgb", 4));
-    out.push_back(gaussian("gauss_208", 208, false));
-    out.push_back(gaussian("gauss_mat4", 4, false));
-    out.push_back(gaussian("gauss_s16", 16, true));
-    out.push_back(gaussian("gauss_s64", 64, true));
-    out.push_back(gaussian("gauss_s256", 256, true));
-    out.push_back(hotspot("hots_1024", 43));
-    out.push_back(hotspot("hots_512", 22));
-    out.push_back(hybridsort("hstort_500k", 9, 0.4));
-    out.push_back(hybridsort("hstort_r", 10, 0.7));
-    out.push_back(kmeans("kmeans_28k", 6, 28, 0.35));
-    out.push_back(kmeans("kmeans_819k", 10, 800, 0.5));
-    out.push_back(kmeans("kmeans_oi", 8, 640, 0.5));
-    out.push_back(lavamd());
-    out.push_back(lud("lud_i", 56));
-    out.push_back(lud("lud_256", 16));
-    out.push_back(myocyte(opts.underProfiler));
-    out.push_back(nn());
-    out.push_back(nw());
-    out.push_back(streamcluster());
-    out.push_back(srad("srad_v1", 100, 5));
-    out.push_back(srad("srad_v2", 100, 2));
-    return out;
+    return kRodinia;
 }
 
 } // namespace pka::workload

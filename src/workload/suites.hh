@@ -20,6 +20,7 @@
 #define PKA_WORKLOAD_SUITES_HH
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,28 +47,33 @@ struct GenOptions
     bool underProfiler = false;
 };
 
-/** Rodinia 3.1 — 28 workloads. */
-std::vector<Workload> buildRodinia(const GenOptions &opts = {});
+/**
+ * One registered workload: its suite, its name and the generator that
+ * builds it. Every generator seeds itself from its own (suite, name), so
+ * a workload built on its own equals the same workload built alongside
+ * all the others.
+ */
+struct WorkloadEntry
+{
+    const char *suite;
+    const char *name;
 
-/** Parboil — 8 workloads. */
-std::vector<Workload> buildParboil(const GenOptions &opts = {});
+    /** Build the workload; `name` is the entry's own name. */
+    Workload (*build)(const std::string &name, const GenOptions &opts);
+};
 
-/** Polybench-GPU — 15 workloads. */
-std::vector<Workload> buildPolybench(const GenOptions &opts = {});
+/**
+ * The registry: all 147 workloads (Rodinia 28, Parboil 8, Polybench-GPU
+ * 15, CUTLASS 20, DeepBench 69, MLPerf 7), in suite order. A static
+ * table of names and generators; reading it builds nothing.
+ */
+std::span<const WorkloadEntry> workloadRegistry();
 
-/** CUTLASS perf suite — 10 SGEMM + 10 tensor-core WGEMM inputs. */
-std::vector<Workload> buildCutlass(const GenOptions &opts = {});
-
-/** DeepBench — 69 workloads (conv/GEMM/RNN x inference/training x TC). */
-std::vector<Workload> buildDeepbench(const GenOptions &opts = {});
-
-/** MLPerf — 7 scaled workloads. */
-std::vector<Workload> buildMlperf(const GenOptions &opts = {});
-
-/** All 147 workloads, in suite order. */
+/** All 147 workloads, built in suite order. */
 std::vector<Workload> allWorkloads(const GenOptions &opts = {});
 
-/** Build one workload by name; nullopt if the name is unknown. */
+/** Build one workload by name, and only that one; nullopt if the name
+ *  is unknown. */
 std::optional<Workload> buildWorkload(const std::string &name,
                                       const GenOptions &opts = {});
 

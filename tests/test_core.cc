@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -21,6 +22,7 @@
 #include "core/two_level.hh"
 #include "silicon/profiler.hh"
 #include "silicon/silicon_gpu.hh"
+#include "sim/fnv.hh"
 #include "workload/builder.hh"
 #include "workload/suites.hh"
 
@@ -366,6 +368,165 @@ TEST(TwoLevel, SingleGroupAbsorbsEverything)
     TwoLevelResult res = twoLevelSelection(prefix, light);
     EXPECT_EQ(res.groups.size(), 1u);
     EXPECT_DOUBLE_EQ(res.groups[0].weight, 50.0);
+}
+
+namespace
+{
+
+/** What a two-level run decided, reduced to exactly comparable bits. */
+struct TwoLevelDigest
+{
+    uint64_t labels = 0; ///< FNV over the per-launch labels
+    double unanimity = 0;
+    double confidence = 0;
+    std::array<double, 3> disagreement{};
+    size_t abstentions = 0;
+};
+
+TwoLevelDigest
+digestOf(const TwoLevelResult &r)
+{
+    sim::Fnv f;
+    for (uint32_t l : r.labels)
+        f.u64(l);
+    return {f.h, r.ensembleUnanimity, r.meanEnsembleConfidence,
+            r.perModelDisagreement, r.abstentions};
+}
+
+void
+expectDigest(const TwoLevelDigest &got, const TwoLevelDigest &want,
+             const std::string &what)
+{
+    EXPECT_EQ(got.labels, want.labels)
+        << what << " labels 0x" << std::hex << got.labels;
+    auto same = [&](double g, double w, const std::string &field) {
+        EXPECT_EQ(g, w) << what << " " << field << " "
+                        << common::strfmt("%a", g);
+    };
+    same(got.unanimity, want.unanimity, "unanimity");
+    same(got.confidence, want.confidence, "confidence");
+    for (size_t m = 0; m < 3; ++m)
+        same(got.disagreement[m], want.disagreement[m],
+             "disagreement[" + std::to_string(m) + "]");
+    EXPECT_EQ(got.abstentions, want.abstentions)
+        << what << " abstentions " << std::dec << got.abstentions;
+}
+
+} // namespace
+
+TEST(TwoLevel, MlperfClassificationGolden)
+{
+    // Pinned outcomes of the two-level ensemble on small MLPerf streams:
+    // plain majority vote, the abstention gate with its PCA fallback,
+    // and a screened (gappy) detailed prefix.
+    struct Case
+    {
+        const char *app;
+        double scale;
+        double abstainThreshold;
+        TwoLevelDigest plain, gated, gappy;
+    };
+    const Case cases[] = {
+        {"gnmt_training", 0.003, 0.9999,
+         {0x2335afbfd3fc5d03ULL, 0x1p+0, 0x1.ffdb701861786p-1, {}, 0},
+         {0xe9c973b6c68d8ba3ULL, 0x1p+0, 0x1.ffdb701861786p-1,
+          {0x1.8e5b27f4c18e6p-7, 0x1.8e5b27f4c18e6p-7,
+           0x1.8e5b27f4c18e6p-7},
+          3898},
+         {0x0b990be0f6c25be3ULL, 0x1p+0, 0x1.ffa9dd3d2e723p-1, {}, 0}},
+        {"ssd_training", 0.002, 0.9,
+         {0x071fd5bf78338587ULL, 0x1.d4ab75a1ff46bp-1,
+          0x1.cec5e20d9c46cp-1,
+          {0x1.1525e6a9e8867p-5, 0x1.15f9b11875106p-7,
+           0x1.5aa452f005ca9p-5},
+          0},
+         {0x5493e10406f992a7ULL, 0x1.d4ab75a1ff46bp-1,
+          0x1.cec5e20d9c46cp-1,
+          {0x1.7e0260e5fdd41p-3, 0x1.6c6dd338d3609p-3,
+           0x1.5b0e38274c0f8p-3},
+          3189},
+         {0xcb4bab2e1c21e8e5ULL, 0x1.f2f9004164632p-1,
+          0x1.e16070e0bccaap-1, {0, 0, 0x1.a0dff7d3739c8p-6}, 0}},
+    };
+    silicon::SiliconGpu gpu(silicon::voltaV100());
+    silicon::DetailedProfiler detailed(gpu);
+    silicon::LightweightProfiler lightweight(gpu);
+    for (const Case &c : cases) {
+        auto w = workload::buildWorkload(
+            c.app, workload::GenOptions{.mlperfScale = c.scale});
+        ASSERT_TRUE(w.has_value());
+        TwoLevelOptions o;
+        o.detailedKernels = 600;
+        auto prefix = detailed.profile(*w, o.detailedKernels);
+        auto light = lightweight.profile(*w);
+        ASSERT_GT(light.size(), prefix.size());
+        expectDigest(digestOf(twoLevelSelection(prefix, light, o)),
+                     c.plain, std::string(c.app) + " plain");
+
+        TwoLevelOptions gated = o;
+        gated.abstainThreshold = c.abstainThreshold;
+        TwoLevelResult g = twoLevelSelection(prefix, light, gated);
+        EXPECT_EQ(g.fallbackMapped, g.abstentions);
+        expectDigest(digestOf(g), c.gated, std::string(c.app) + " gated");
+
+        std::vector<silicon::DetailedProfile> gappy;
+        for (size_t i = 0; i < prefix.size(); ++i)
+            if (i % 5 != 3)
+                gappy.push_back(prefix[i]);
+        expectDigest(digestOf(twoLevelSelection(gappy, light, o)), c.gappy,
+                     std::string(c.app) + " gappy");
+    }
+}
+
+TEST(Pka, SelectionAndSiliconGolden)
+{
+    // Pinned selection (groups, profiling cost) and silicon totals for a
+    // fully profiled app and for two-level MLPerf streams.
+    struct Case
+    {
+        const char *app;
+        double scale;
+        bool twoLevel;
+        uint64_t groups;       ///< FNV over representative/weight/members
+        double profilingCost;  ///< SelectionOutcome::profilingCostSec
+        uint64_t siliconCycles;
+    };
+    const Case cases[] = {
+        {"gramschmidt", 0.02, false, 0x0b82461c1b001ea0ULL,
+         0x1.e0d770db4ee3p+12, 9144325},
+        {"gnmt_training", 0.003, true, 0x55c34ca284d4091eULL,
+         0x1.2c07ff9651ddcp+11, 21669338},
+        {"ssd_training", 0.002, true, 0xa4fbca6e41dfc3e5ULL,
+         0x1.2c09efbc73368p+11, 45481215},
+    };
+    silicon::SiliconGpu gpu(silicon::voltaV100());
+    for (const Case &c : cases) {
+        auto w = workload::buildWorkload(
+            c.app, workload::GenOptions{.mlperfScale = c.scale});
+        ASSERT_TRUE(w.has_value());
+        const silicon::AppExecution sil = gpu.run(*w);
+        EXPECT_EQ(sil.totalCycles, c.siliconCycles)
+            << c.app << " " << sil.totalCycles;
+        // Both entry points: the one that runs silicon itself and the one
+        // that reads the caller's pass.
+        for (const SelectionOutcome &sel :
+             {selectKernels(*w, gpu, PkaOptions{}),
+              selectKernels(*w, gpu, PkaOptions{}, sil)}) {
+            EXPECT_EQ(sel.usedTwoLevel, c.twoLevel) << c.app;
+            sim::Fnv f;
+            for (const auto &g : sel.groups) {
+                f.u64(g.representative);
+                f.f64(g.weight);
+                for (uint32_t m : g.members)
+                    f.u64(m);
+            }
+            EXPECT_EQ(f.h, c.groups)
+                << c.app << " groups 0x" << std::hex << f.h;
+            EXPECT_EQ(sel.profilingCostSec, c.profilingCost)
+                << c.app << " "
+                << common::strfmt("%a", sel.profilingCostSec);
+        }
+    }
 }
 
 TEST(Baselines, FirstNTruncatesAndExtrapolates)

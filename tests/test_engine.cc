@@ -314,8 +314,10 @@ TEST(SimEngine, BigKernelBorrowsIdleWorkersForShardTeam)
     EXPECT_TRUE(ss.intraShardBusyMs.empty());
 
     // One job on a 4-thread pool: the task's own slot plus three idle
-    // ones make a 4-shard team.
-    SimEngine engine(engineOpts(4, false));
+    // ones make a 4-shard team (sharding is opt-in: 0 = auto team size).
+    EngineOptions teams = engineOpts(4, false);
+    teams.smThreads = 0;
+    SimEngine engine(teams);
     EngineStats st;
     auto sharded = engine.run(simulator, jobs, &st);
     EXPECT_EQ(st.shardedLaunches, 1u);
@@ -348,7 +350,9 @@ TEST(SimEngine, SparseKernelStaysOnSequentialCore)
     jobs[0].kernel = &k;
     jobs[0].workloadSeed = 12;
 
-    SimEngine engine(engineOpts(4, false));
+    EngineOptions teams = engineOpts(4, false); // sharding allowed
+    teams.smThreads = 0;
+    SimEngine engine(teams);
     EngineStats st;
     auto r = engine.run(simulator, jobs, &st);
     EXPECT_EQ(st.shardedLaunches, 0u);

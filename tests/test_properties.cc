@@ -134,11 +134,24 @@ TEST_P(WorkloadProperty, TraceReplayReproducesFirstKernel)
  * entry points always produce finite output, checked entry points turn
  * poison into typed kBadInput errors — no asserts, no NaN leakage.
  */
-class DegenerateMatrix
-    : public ::testing::TestWithParam<std::pair<const char *, ml::Matrix>>
+struct DegenerateCase
+{
+    const char *name;
+    ml::Matrix X;
+
+    // Print the case by name: the default printer shows the literal's
+    // address and the matrix's heap pointers, which change every run
+    // and would make the discovered test names differ between builds.
+    friend void PrintTo(const DegenerateCase &c, std::ostream *os)
+    {
+        *os << c.name;
+    }
+};
+
+class DegenerateMatrix : public ::testing::TestWithParam<DegenerateCase>
 {
   public:
-    static std::vector<std::pair<const char *, ml::Matrix>> cases()
+    static std::vector<DegenerateCase> cases()
     {
         const double inf = std::numeric_limits<double>::infinity();
         ml::Matrix zero_col = ml::Matrix::fromRows(
@@ -169,7 +182,7 @@ class DegenerateMatrix
 
 TEST_P(DegenerateMatrix, ScalerOutputIsAlwaysFinite)
 {
-    const ml::Matrix &X = GetParam().second;
+    const ml::Matrix &X = GetParam().X;
     ml::StandardScaler scaler;
     ml::Matrix Z = scaler.fitTransform(X);
     for (size_t r = 0; r < Z.rows(); ++r)
@@ -188,7 +201,7 @@ TEST_P(DegenerateMatrix, ScalerOutputIsAlwaysFinite)
 
 TEST_P(DegenerateMatrix, PcaOutputIsAlwaysFinite)
 {
-    const ml::Matrix &X = GetParam().second;
+    const ml::Matrix &X = GetParam().X;
     ml::Pca pca;
     pca.fit(X); // lenient path clamps poison, never asserts
     ml::Matrix Y = pca.transform(X, std::min<size_t>(2, X.cols()));
@@ -211,7 +224,7 @@ TEST_P(DegenerateMatrix, PcaOutputIsAlwaysFinite)
 
 TEST_P(DegenerateMatrix, KmeansLabelsEveryRow)
 {
-    const ml::Matrix &X = GetParam().second;
+    const ml::Matrix &X = GetParam().X;
     // Ask for more clusters than rows: k must clamp, every row must get
     // a valid label, and inertia must stay finite.
     ml::KMeansResult res = ml::kmeans(X, static_cast<uint32_t>(
@@ -239,9 +252,8 @@ TEST_P(DegenerateMatrix, KmeansLabelsEveryRow)
 INSTANTIATE_TEST_SUITE_P(
     Degenerate, DegenerateMatrix,
     ::testing::ValuesIn(DegenerateMatrix::cases()),
-    [](const ::testing::TestParamInfo<
-        std::pair<const char *, ml::Matrix>> &info) {
-        return info.param.first;
+    [](const ::testing::TestParamInfo<DegenerateCase> &info) {
+        return info.param.name;
     });
 
 INSTANTIATE_TEST_SUITE_P(

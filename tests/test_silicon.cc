@@ -282,6 +282,46 @@ TEST(LightweightProfiler, MuchCheaperThanDetailed)
     EXPECT_LT(light * 100, detailed);
 }
 
+TEST(Profilers, OneSiliconPassEqualsPerCallExecution)
+{
+    // Costs and profiles read from one SiliconGpu::run must equal the
+    // per-call versions, which execute every launch again, bit for bit.
+    SiliconGpu gpu(voltaV100());
+    DetailedProfiler detailed(gpu);
+    LightweightProfiler light(gpu);
+    for (const char *name : {"gauss_208", "gramschmidt", "gnmt_training"}) {
+        auto w = buildWorkload(name);
+        ASSERT_TRUE(w.has_value()) << name;
+        const AppExecution sil = gpu.run(*w);
+        ASSERT_EQ(sil.launches.size(), w->launches.size());
+        EXPECT_EQ(DetailedProfiler::costSeconds(sil),
+                  detailed.costSeconds(*w))
+            << name;
+        EXPECT_EQ(DetailedProfiler::costSeconds(sil, 300),
+                  detailed.costSeconds(*w, 300))
+            << name;
+        EXPECT_EQ(LightweightProfiler::costSeconds(sil),
+                  light.costSeconds(*w))
+            << name;
+
+        uint64_t cycles = 0;
+        for (const auto &k : w->launches)
+            cycles += gpu.execute(k, w->seed).cycles;
+        EXPECT_EQ(sil.totalCycles, cycles) << name;
+
+        auto per_call = detailed.profile(*w, 300);
+        auto fused = detailed.profile(*w, 300, sil);
+        ASSERT_EQ(per_call.size(), fused.size()) << name;
+        for (size_t i = 0; i < fused.size(); ++i) {
+            EXPECT_EQ(fused[i].launchId, per_call[i].launchId);
+            EXPECT_EQ(fused[i].kernelName, per_call[i].kernelName);
+            EXPECT_EQ(fused[i].cycles, per_call[i].cycles);
+            EXPECT_EQ(fused[i].metrics.toArray(),
+                      per_call[i].metrics.toArray());
+        }
+    }
+}
+
 TEST(KernelMetrics, ArrayRoundTripAndNames)
 {
     KernelMetrics m;

@@ -10,6 +10,8 @@
 #include <set>
 #include <unordered_map>
 
+#include "sim/fnv.hh"
+#include "sim/simulator.hh"
 #include "workload/archetypes.hh"
 #include "workload/builder.hh"
 #include "workload/detail.hh"
@@ -29,6 +31,27 @@ tinyProgram(uint32_t alu = 4, uint32_t loads = 1)
         .seg(InstrClass::IntAlu, alu)
         .seg(InstrClass::GlobalStore, 1)
         .build();
+}
+
+/** Digest of a workload's identity and of every launch's content,
+ *  launch id and tensor annotations. */
+uint64_t
+workloadDigest(const Workload &w)
+{
+    pka::sim::Fnv f;
+    f.str(w.suite);
+    f.str(w.name);
+    f.u64(w.seed);
+    f.f64(w.scale);
+    f.u64(w.launches.size());
+    for (const auto &k : w.launches) {
+        f.u64(k.launchId);
+        f.u64(pka::sim::launchContentHash(k));
+        f.u64(k.tensorDims.size());
+        for (uint32_t d : k.tensorDims)
+            f.u64(d);
+    }
+    return f.h;
 }
 
 } // namespace
@@ -330,6 +353,71 @@ TEST(Suites, ResnetUsesFigure4KernelNames)
           "tiny_relu_1", "bn_fw_inf", "MaxPool2D", "somax_fw",
           "SimpleBinary", "RowwiseBinary", "splitKreduce", "gemv2N"})
         EXPECT_TRUE(names.count(expect)) << expect;
+}
+
+TEST(Registry, LazyBuildEqualsAllWorkloadsEntry)
+{
+    // Every name, built on its own, must equal its entry in the full
+    // suite-order materialisation, launch by launch; the combined digest
+    // pins the whole registry to the generators' historical output.
+    pka::sim::Fnv all;
+    for (const auto &w : allWorkloads()) {
+        auto one = buildWorkload(w.name);
+        ASSERT_TRUE(one.has_value()) << w.name;
+        EXPECT_EQ(workloadDigest(*one), workloadDigest(w)) << w.name;
+        all.u64(workloadDigest(w));
+    }
+    EXPECT_EQ(all.h, 0xfd1d7163051cc6bbULL) << std::hex << all.h;
+}
+
+TEST(Registry, MlperfLazyBuildsPinnedAtScale)
+{
+    struct Pin
+    {
+        const char *name;
+        uint64_t at002;
+        uint64_t at03;
+    };
+    const Pin pins[] = {
+        {"bert_inference", 0x986c9c7fc0a3f0abULL, 0x0f52c6132b899cc8ULL},
+        {"ssd_training", 0x00ee8828fc8dd2d6ULL, 0x15b1b9daaefcb2f0ULL},
+        {"resnet50_64b", 0xc5aa7c2cf0f516beULL, 0x2809622caed2e493ULL},
+        {"resnet50_128b", 0xdf3a281aef83fb20ULL, 0xcecefb00681740c3ULL},
+        {"resnet50_256b", 0x37edce6b2d44ca22ULL, 0xbb01c350a0f475b0ULL},
+        {"gnmt_training", 0x54697b0c5a8edcc8ULL, 0x5f95a54ea85683c7ULL},
+        {"unet3d_inference", 0x7262527fe562dcb7ULL, 0xc88ddba8e82a3dadULL},
+    };
+    for (const Pin &p : pins) {
+        auto small = buildWorkload(p.name, GenOptions{.mlperfScale = 0.02});
+        ASSERT_TRUE(small.has_value()) << p.name;
+        EXPECT_EQ(workloadDigest(*small), p.at002)
+            << p.name << std::hex << " 0x" << workloadDigest(*small);
+        small.reset();
+        auto large = buildWorkload(p.name, GenOptions{.mlperfScale = 0.3});
+        ASSERT_TRUE(large.has_value()) << p.name;
+        EXPECT_EQ(workloadDigest(*large), p.at03)
+            << p.name << std::hex << " 0x" << workloadDigest(*large);
+    }
+}
+
+TEST(Registry, UnderProfilerBuildEqualsTracedUnlessSensitive)
+{
+    // The CLI builds one stream for both roles whenever the workload is
+    // not profiler-sensitive; that is only sound if the two builds agree.
+    GenOptions prof;
+    prof.underProfiler = true;
+    size_t sensitive = 0;
+    for (const auto &w : allWorkloads()) {
+        auto p = buildWorkload(w.name, prof);
+        ASSERT_TRUE(p.has_value()) << w.name;
+        if (isProfilerSensitive(w.name)) {
+            ++sensitive;
+            EXPECT_NE(p->launches.size(), w.launches.size()) << w.name;
+            continue;
+        }
+        EXPECT_EQ(workloadDigest(*p), workloadDigest(w)) << w.name;
+    }
+    EXPECT_EQ(sensitive, 6u); // myocyte + conv_train_in0..4
 }
 
 TEST(Detail, StableHashIsStable)

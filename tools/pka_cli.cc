@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -94,8 +95,8 @@ common options:
   --sm-threads N              intra-kernel SM-shard team size cap;
                               big kernels split their SM array over
                               idle engine threads, bit-identical to a
-                              serial run at any N (default 0 = auto,
-                              cap at the thread budget; 1 disables)
+                              serial run at any N (default 1 = never
+                              shard; 0 = auto, cap at the thread budget)
   --no-memo                   disable the kernel-result cache
   --content-seed              seed stochastic structure from launch
                               content rather than launch id, so
@@ -433,9 +434,11 @@ cmdList(const CliArgs &args)
     std::string suite = args.get("suite");
     common::TextTable t({"suite", "workload", "launches",
                          "distinct kernels", "warp instructions"});
-    for (const auto &w : workload::allWorkloads(g)) {
-        if (!suite.empty() && w.suite != suite)
+    // One workload resident at a time: each is freed after its row.
+    for (const workload::WorkloadEntry &e : workload::workloadRegistry()) {
+        if (!suite.empty() && e.suite != suite)
             continue;
+        const workload::Workload w = e.build(e.name, g);
         t.row()
             .cell(w.suite)
             .cell(w.name)
@@ -660,16 +663,18 @@ cmdTrace(const CliArgs &args)
 int
 cmdAnalyze(const CliArgs &args)
 {
-    workload::GenOptions g;
-    g.mlperfScale = args.getPositiveNum("mlperf-scale", 0.02);
-    workload::GenOptions gp = g;
-    gp.underProfiler = true;
-    if (args.positionals().empty())
-        common::fatal("missing workload name operand");
-    auto traced = workload::buildWorkload(args.positionals()[0], g);
-    auto profiled = workload::buildWorkload(args.positionals()[0], gp);
-    if (!traced || !profiled)
-        common::fatal("unknown workload '" + args.positionals()[0] + "'");
+    workload::Workload traced = loadWorkload(args, 0);
+    // Only a profiler-sensitive workload launches differently under a
+    // detailed profiler; any other is one stream in both roles.
+    std::optional<workload::Workload> profiled_own;
+    if (workload::isProfilerSensitive(traced.name)) {
+        workload::GenOptions gp;
+        gp.mlperfScale = args.getPositiveNum("mlperf-scale", 0.02);
+        gp.underProfiler = true;
+        profiled_own = workload::buildWorkload(traced.name, gp);
+    }
+    const workload::Workload &profiled =
+        profiled_own ? *profiled_own : traced;
 
     auto spec = specFor(args.get("gpu", "volta"));
     silicon::SiliconGpu gpu(spec);
@@ -677,10 +682,13 @@ cmdAnalyze(const CliArgs &args)
     core::CampaignCheckpoint cp = checkpointFor(args);
     core::CampaignPolicy policy = policyFor(args);
     core::PkaOptions opts = pkaOptionsFor(args);
+    // One silicon pass serves selection, its cost models and the
+    // reported silicon total.
+    const silicon::AppExecution sil = gpu.run(profiled);
     if (opts.strictProfiles) {
         // Pre-flight the selection so strict validation failures exit
         // with a distinct code instead of a generic fatal inside runPka.
-        auto checked = core::selectKernelsChecked(*profiled, gpu, opts);
+        auto checked = core::selectKernelsChecked(profiled, gpu, opts, sil);
         if (!checked.ok()) {
             std::fprintf(stderr, "selection: %s\n",
                          checked.error().str().c_str());
@@ -688,18 +696,18 @@ cmdAnalyze(const CliArgs &args)
         }
     }
     core::PkaAppResult res = core::runPka(
-        sim::SimEngine::shared(), *traced, *profiled, gpu, simulator,
+        sim::SimEngine::shared(), traced, profiled, sil, gpu, simulator,
         opts, cp.dir.empty() ? nullptr : &cp,
         wantsTolerantCampaign(args) ? &policy : nullptr);
     if (res.excluded) {
         std::printf("EXCLUDED: %s\n", res.exclusionReason.c_str());
         return 2;
     }
-    auto sil = gpu.run(*traced);
-    double sil_cycles = static_cast<double>(sil.totalCycles);
+    double sil_cycles = static_cast<double>(
+        profiled_own ? gpu.run(traced).totalCycles : sil.totalCycles);
     std::printf("workload: %s on %s (%zu launches)\n",
-                traced->name.c_str(), spec.name.c_str(),
-                traced->launches.size());
+                traced.name.c_str(), spec.name.c_str(),
+                traced.launches.size());
     std::printf("selection: %zu groups, %s profiling\n",
                 res.selection.groups.size(),
                 res.selection.usedTwoLevel ? "two-level" : "detailed");
@@ -707,9 +715,9 @@ cmdAnalyze(const CliArgs &args)
     if (args.has("stability")) {
         silicon::DetailedProfiler prof(gpu);
         auto profiles = prof.profile(
-            *profiled, res.selection.usedTwoLevel
-                           ? opts.twoLevelDetailedKernels
-                           : 0);
+            profiled,
+            res.selection.usedTwoLevel ? opts.twoLevelDetailedKernels : 0,
+            sil);
         int rc = reportStability(args, stdout, std::move(profiles), opts);
         if (rc != 0)
             return rc;
@@ -841,7 +849,7 @@ engineOptionsFor(const CliArgs &args)
     eo.memoize = !args.has("no-memo");
     eo.contentSeed = args.has("content-seed");
     eo.smThreads = static_cast<unsigned>(args.getUint(
-        "sm-threads", 0, 0, std::numeric_limits<unsigned>::max()));
+        "sm-threads", 1, 0, std::numeric_limits<unsigned>::max()));
     eo.taskTimeoutSec = args.getPositiveNum("task-timeout", 0.0);
     eo.maxTaskAttempts =
         static_cast<unsigned>(args.getUint("max-retries", 1, 0, 100)) + 1;

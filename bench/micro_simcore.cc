@@ -3,14 +3,12 @@
  * Simulator-core microbenchmark: wall time of the dense reference cycle
  * loop versus the event-driven core over a kernel set spanning the
  * simulator's regimes (compute-bound, memory-streaming, latency-bound
- * low-occupancy, small grid, mixed, and one large GEMM-shaped launch),
- * plus an intra-kernel --sm-threads sweep of the sharded core. Every
- * measurement reports tail latency (p50/p95/max wall-ms across reps),
- * and every core/thread-count variant is hash-gated against the
- * reference result. Emits JSON (BENCH_simcore.json schema) so CI can
- * assert the acceptance criteria: bit-identical per-kernel hashes, the
- * aggregate event-core speedup, and the sharded-core speedup on the
- * largest kernel.
+ * low-occupancy, small grid, mixed, and one large GEMM-shaped launch).
+ * Every measurement reports tail latency (p50/p95/max wall-ms across
+ * reps), and the event core is hash-gated against the reference result.
+ * Emits JSON (BENCH_simcore.json schema) so CI can assert the acceptance
+ * criteria: bit-identical per-kernel hashes and the aggregate event-core
+ * speedup. Exits non-zero when any kernel's hashes diverge.
  *
  * Pure simulator measurement — no engine, no result store, no
  * filesystem or PKA_CACHE_DIR dependence.
@@ -62,8 +60,8 @@ launch(workload::ProgramPtr p, uint32_t ctas, uint32_t threads,
  * Latency-bound and small-grid kernels leave most SMs eventless almost
  * every cycle; compute-bound kernels keep every SM ready and bound the
  * overhead of the event heap itself. gemm_large is the campaign-tail
- * case the sharded core exists for: one launch large enough to dominate
- * wall-clock no matter how many kernels run concurrently.
+ * case: one launch large enough to dominate wall-clock no matter how
+ * many kernels run concurrently.
  */
 std::vector<BenchCase>
 benchCases()
@@ -159,7 +157,7 @@ benchCases()
     }
     // Tiled-GEMM shape: cache-friendly loads feeding long FMA runs, a
     // large grid, many iterations — the biggest launch in the set by an
-    // order of magnitude and the intra-kernel sharding headline case.
+    // order of magnitude.
     cases.push_back(
         {"gemm_large",
          launch(ProgramBuilder("gemm")
@@ -214,17 +212,16 @@ struct Measured
 };
 
 /**
- * Wall time of one case under one core/thread-count, over `reps`
+ * Wall time of one case under one core, over `reps`
  * repetitions: best (the steady-state cost) plus p50/p95/max (what a
  * campaign's tail sees, including allocator and scheduler noise).
  */
 Measured
 measure(const sim::GpuSimulator &simulator, const BenchCase &c,
-        bool reference, uint32_t sm_threads, int reps)
+        bool reference, int reps)
 {
     sim::SimOptions opts = c.opts;
     opts.referenceCore = reference;
-    opts.intraKernelThreads = sm_threads;
     Measured m;
     std::vector<double> samples;
     samples.reserve(reps);
@@ -266,25 +263,20 @@ main()
     sim::GpuSimulator simulator(silicon::voltaV100());
     auto cases = benchCases();
     const int reps = 5;
-    const uint32_t sweep[] = {2, 4, 8};
-    // Thread counts beyond the host's cores can only show overhead, not
-    // speedup. Their timings would read as a regression on an undersized
-    // CI box, so those entries keep the hash gate (one rep) but report
-    // "skipped": "insufficient_cpus" instead of a misleading speedup.
     const uint32_t host_cpus =
         std::max(1u, std::thread::hardware_concurrency());
 
     double ref_total = 0.0, ev_total = 0.0;
     bool all_identical = true;
-    double largest_seq_ms = 0.0, largest_sm4_ms = 0.0;
+    double largest_ms = 0.0;
     std::string largest_name;
     uint64_t largest_cycles = 0;
 
     std::printf("{\n  \"kernels\": [\n");
     for (size_t i = 0; i < cases.size(); ++i) {
         const auto &c = cases[i];
-        Measured ref = measure(simulator, c, true, 1, 3);
-        Measured ev = measure(simulator, c, false, 1, reps);
+        Measured ref = measure(simulator, c, true, 3);
+        Measured ev = measure(simulator, c, false, reps);
         bool identical = ref.hash == ev.hash;
         ref_total += ref.best_ms;
         ev_total += ev.best_ms;
@@ -301,51 +293,12 @@ main()
                     static_cast<unsigned long long>(ref.hash));
         std::printf("      \"event_hash\": \"%016llx\",\n",
                     static_cast<unsigned long long>(ev.hash));
-        // The sharded core at each team size, hash-gated against the
-        // sequential event core (sm_threads=1 IS the event core, so ev
-        // doubles as the sweep baseline).
-        double sm4_ms = 0.0;
-        std::printf("      \"sm_threads\": [\n");
-        std::printf("        { \"threads\": 1, \"ms\": %.3f, "
-                    "\"p50_ms\": %.3f, \"p95_ms\": %.3f, "
-                    "\"max_ms\": %.3f, \"speedup_vs_1\": 1.00, "
-                    "\"bit_identical\": %s },\n",
-                    ev.best_ms, ev.p50_ms, ev.p95_ms, ev.max_ms,
-                    identical ? "true" : "false");
-        for (size_t t = 0; t < sizeof(sweep) / sizeof(sweep[0]); ++t) {
-            bool timed = sweep[t] <= host_cpus;
-            Measured par =
-                measure(simulator, c, false, sweep[t], timed ? reps : 1);
-            bool par_ok = par.hash == ref.hash;
-            identical = identical && par_ok;
-            const char *sep =
-                t + 1 < sizeof(sweep) / sizeof(sweep[0]) ? "," : "";
-            if (!timed) {
-                std::printf("        { \"threads\": %u, "
-                            "\"skipped\": \"insufficient_cpus\", "
-                            "\"bit_identical\": %s }%s\n",
-                            sweep[t], par_ok ? "true" : "false", sep);
-                continue;
-            }
-            if (sweep[t] == 4)
-                sm4_ms = par.best_ms;
-            std::printf("        { \"threads\": %u, \"ms\": %.3f, "
-                        "\"p50_ms\": %.3f, \"p95_ms\": %.3f, "
-                        "\"max_ms\": %.3f, \"speedup_vs_1\": %.2f, "
-                        "\"bit_identical\": %s }%s\n",
-                        sweep[t], par.best_ms, par.p50_ms, par.p95_ms,
-                        par.max_ms,
-                        par.best_ms > 0 ? ev.best_ms / par.best_ms : 0.0,
-                        par_ok ? "true" : "false", sep);
-        }
-        std::printf("      ],\n");
         std::printf("      \"bit_identical\": %s\n",
                     identical ? "true" : "false");
         std::printf("    }%s\n", i + 1 < cases.size() ? "," : "");
         all_identical = all_identical && identical;
-        if (ev.best_ms > largest_seq_ms) {
-            largest_seq_ms = ev.best_ms;
-            largest_sm4_ms = sm4_ms;
+        if (ev.best_ms > largest_ms) {
+            largest_ms = ev.best_ms;
             largest_name = c.name;
             largest_cycles = ev.cycles;
         }
@@ -359,13 +312,6 @@ main()
     std::printf("  \"largest_kernel\": \"%s\",\n", largest_name.c_str());
     std::printf("  \"largest_kernel_cycles\": %llu,\n",
                 static_cast<unsigned long long>(largest_cycles));
-    if (4 <= host_cpus)
-        std::printf("  \"largest_kernel_sm4_speedup\": %.2f,\n",
-                    largest_sm4_ms > 0 ? largest_seq_ms / largest_sm4_ms
-                                       : 0.0);
-    else
-        std::printf("  \"largest_kernel_sm4_speedup\": "
-                    "\"skipped: insufficient_cpus\",\n");
     std::printf("  \"all_bit_identical\": %s\n",
                 all_identical ? "true" : "false");
     std::printf("}\n");

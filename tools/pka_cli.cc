@@ -92,11 +92,6 @@ common options:
   --mlperf-scale X            MLPerf launch-count scale (default 0.02)
   --threads N                 simulation worker threads
                               (default: hardware concurrency)
-  --sm-threads N              intra-kernel SM-shard team size cap;
-                              big kernels split their SM array over
-                              idle engine threads, bit-identical to a
-                              serial run at any N (default 1 = never
-                              shard; 0 = auto, cap at the thread budget)
   --no-memo                   disable the kernel-result cache
   --content-seed              seed stochastic structure from launch
                               content rather than launch id, so
@@ -848,8 +843,6 @@ engineOptionsFor(const CliArgs &args)
         "threads", 0, 0, std::numeric_limits<unsigned>::max()));
     eo.memoize = !args.has("no-memo");
     eo.contentSeed = args.has("content-seed");
-    eo.smThreads = static_cast<unsigned>(args.getUint(
-        "sm-threads", 1, 0, std::numeric_limits<unsigned>::max()));
     eo.taskTimeoutSec = args.getPositiveNum("task-timeout", 0.0);
     eo.maxTaskAttempts =
         static_cast<unsigned>(args.getUint("max-retries", 1, 0, 100)) + 1;

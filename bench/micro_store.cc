@@ -13,9 +13,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -137,7 +139,10 @@ main()
     std::error_code ec;
     fs::remove_all(root, ec);
 
-    std::printf("{\n  \"campaign\": {\n");
+    std::printf("{\n  \"host_cpus\": %u,\n",
+                std::max(1u, std::thread::hardware_concurrency()));
+    std::printf("  \"build_type\": \"%s\",\n", PKA_BUILD_TYPE);
+    std::printf("  \"campaign\": {\n");
     std::printf("    \"workloads\": [");
     for (size_t i = 0; i < names.size(); ++i)
         std::printf("%s\"%s\"", i ? ", " : "", names[i].c_str());

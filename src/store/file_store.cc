@@ -1,13 +1,9 @@
 #include "store/file_store.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
-#include <thread>
 #include <vector>
 
 #include "common/error.hh"
@@ -22,48 +18,30 @@ namespace pka::store
 {
 
 using pka::common::strfmt;
-using pka::common::warn;
 using pka::common::warnRateLimited;
 
 namespace
 {
 
-/** 16-hex-digit lowercase rendering of a 64-bit hash. */
-std::string
-hex16(uint64_t v)
+/** {count, bytes} of the record files under the objects tree `dir`. */
+std::pair<uint64_t, uint64_t>
+recordUsage(const std::string &dir)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-}
-
-/** Exponential backoff before 0-based retry `r`: 1, 2, 4, ... ms. */
-void
-backoff(unsigned r)
-{
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        KernelResultStore::kIoBackoffBaseMs << r));
-}
-
-/** The errno equivalent of a std::error_code (0 when unmappable). */
-int
-errnoOf(const std::error_code &ec)
-{
-    std::error_condition cond = ec.default_error_condition();
-    if (cond.category() == std::generic_category())
-        return cond.value();
-    return 0;
+    uint64_t count = 0, bytes = 0;
+    std::error_code ec;
+    fs::recursive_directory_iterator it(dir, ec);
+    if (ec)
+        return {0, 0};
+    for (const auto &entry : it)
+        if (entry.is_regular_file(ec) &&
+            entry.path().extension() == kRecordExt) {
+            ++count;
+            bytes += entry.file_size(ec);
+        }
+    return {count, bytes};
 }
 
 } // namespace
-
-bool
-permanentWriteErrno(int err)
-{
-    return err == ENOSPC || err == EDQUOT || err == EROFS ||
-           err == EACCES || err == EPERM || err == ENOTDIR;
-}
 
 std::pair<uint64_t, uint64_t>
 evictOldestRecords(const std::string &root, uint64_t targetBytes)
@@ -82,7 +60,7 @@ evictOldestRecords(const std::string &root, uint64_t targetBytes)
         return {0, 0};
     for (const auto &entry : it) {
         if (!entry.is_regular_file(ec) ||
-            entry.path().extension() != ".pkr")
+            entry.path().extension() != kRecordExt)
             continue;
         uint64_t size = entry.file_size(ec);
         if (ec)
@@ -114,18 +92,10 @@ evictOldestRecords(const std::string &root, uint64_t targetBytes)
 }
 
 KernelResultStore::KernelResultStore(std::string root, bool similarity)
-    : root_(std::move(root))
+    : root_(std::move(root)),
+      objects_((fs::path(root_) / "objects").string(), kRecordExt,
+               "result store")
 {
-    std::error_code ec;
-    fs::create_directories(fs::path(root_) / "objects", ec);
-    if (!ec)
-        fs::create_directories(fs::path(root_) / "tmp", ec);
-    if (ec)
-        throw pka::common::TaskException(
-            pka::common::ErrorKind::kStoreIo,
-            strfmt("cannot create result store at '%s': %s", root_.c_str(),
-                   ec.message().c_str()));
-    sweepOrphans();
     if (similarity)
         sigIndex_ = std::make_unique<SignatureIndex>(
             (fs::path(root_) / "sig").string());
@@ -133,39 +103,18 @@ KernelResultStore::KernelResultStore(std::string root, bool similarity)
 
 KernelResultStore::~KernelResultStore() = default;
 
-void
-KernelResultStore::sweepOrphans()
+StoreStatsSnapshot
+KernelResultStore::stats() const
 {
-    // Staging files are renamed away immediately after being written, so
-    // anything still in tmp/ at open time is debris from a writer that
-    // died mid-put. Opening happens before any worker starts writing, so
-    // the sweep cannot race this process's own staging files.
-    std::error_code ec;
-    fs::directory_iterator it(fs::path(root_) / "tmp", ec);
-    if (ec)
-        return;
-    uint64_t swept = 0;
-    for (const auto &entry : it) {
-        if (!entry.is_regular_file(ec) ||
-            entry.path().extension() != ".tmp")
-            continue;
-        if (fs::remove(entry.path(), ec))
-            ++swept;
-    }
-    if (swept) {
-        stats_.orphansSwept.fetch_add(swept, std::memory_order_relaxed);
-        warn(strfmt("result store '%s': swept %llu orphaned staging "
-                    "file(s) from an interrupted run",
-                    root_.c_str(), static_cast<unsigned long long>(swept)));
-    }
-}
-
-std::string
-KernelResultStore::recordPath(const sim::KernelSimKey &key) const
-{
-    std::string h = hex16(sim::kernelSimKeyHash(key));
-    return (fs::path(root_) / "objects" / h.substr(0, 2) / (h + ".pkr"))
-        .string();
+    StoreStatsSnapshot s = stats_.snapshot();
+    DurableDirStats w = objects_.stats();
+    s.ioRetries += w.ioRetries;
+    s.retryExhausted += w.retryExhausted;
+    s.putFailures = w.failures;
+    s.orphansSwept = w.orphansSwept;
+    s.degraded = w.degraded;
+    s.putsSkippedDegraded = w.skippedDegraded;
+    return s;
 }
 
 Lookup
@@ -246,159 +195,38 @@ Lookup
 KernelResultStore::get(const sim::KernelSimKey &key,
                        sim::KernelSimResult *out) const
 {
-    std::string path = recordPath(key);
+    std::string path = objects_.path(sim::kernelSimKeyHash(key));
     for (unsigned attempt = 0;; ++attempt) {
         bool transient = false;
         Lookup r = tryGet(path, key, out, &transient);
         if (!transient)
             return r;
-        if (attempt + 1 >= kIoAttempts) {
+        if (attempt + 1 >= DurableDir::kIoAttempts) {
             stats_.retryExhausted.fetch_add(1, std::memory_order_relaxed);
             stats_.misses.fetch_add(1, std::memory_order_relaxed);
             warnRateLimited(
                 "store.read",
                 strfmt("result store: giving up reading '%s' after %u "
                        "attempts; re-simulating",
-                       path.c_str(), kIoAttempts));
+                       path.c_str(), DurableDir::kIoAttempts));
             return Lookup::kMiss;
         }
         stats_.ioRetries.fetch_add(1, std::memory_order_relaxed);
-        backoff(attempt);
+        ioBackoff(attempt);
     }
-}
-
-WriteAttempt
-KernelResultStore::tryPut(const std::string &bytes,
-                          const std::string &finalPath,
-                          uint64_t keyHash) const
-{
-    std::error_code ec;
-    fs::create_directories(fs::path(finalPath).parent_path(), ec);
-    if (ec)
-        return permanentWriteErrno(errnoOf(ec)) ? WriteAttempt::kDiskFull
-                                                : WriteAttempt::kRetry;
-
-    size_t write_len = bytes.size();
-    const char *data = bytes.data();
-    std::string corrupted;
-    if (auto f = pka::common::faultAt("store.write", keyHash)) {
-        switch (*f) {
-        case pka::common::FaultKind::kIoError:
-            return WriteAttempt::kRetry;
-        case pka::common::FaultKind::kDiskFull:
-            return WriteAttempt::kDiskFull;
-        case pka::common::FaultKind::kShortWrite:
-            // Simulate a torn record reaching disk (a crash between
-            // write and fsync): publish a truncated record. Reads
-            // reject it by size/CRC and the engine re-simulates.
-            write_len /= 2;
-            break;
-        case pka::common::FaultKind::kCorrupt:
-            corrupted = bytes;
-            corrupted[0] = static_cast<char>(corrupted[0] ^ 0xff);
-            data = corrupted.data();
-            break;
-        case pka::common::FaultKind::kHang:
-            pka::common::FaultInjector::instance().hang(
-                [] { return false; });
-            break;
-        case pka::common::FaultKind::kThrow:
-            throw pka::common::TaskException(
-                pka::common::ErrorKind::kStoreIo,
-                strfmt("injected store write failure for '%s'",
-                       finalPath.c_str()));
-        }
-    }
-
-    // Unique temp name per (store, write): concurrent writers never
-    // share a staging file, and rename() is atomic within the store's
-    // filesystem.
-    uint64_t n = tempCounter_.fetch_add(1, std::memory_order_relaxed);
-    fs::path tmp = fs::path(root_) / "tmp" /
-                   strfmt("%s.%llu.tmp",
-                          fs::path(finalPath).stem().string().c_str(),
-                          static_cast<unsigned long long>(n));
-    {
-        errno = 0;
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (os)
-            os.write(data, static_cast<std::streamsize>(write_len));
-        if (os)
-            os.flush();
-        if (!os) {
-            // The stream hides the failing syscall, but glibc leaves its
-            // errno in place: classify ENOSPC/EROFS-style conditions as
-            // permanent so the caller degrades instead of retrying.
-            int err = errno;
-            fs::remove(tmp, ec);
-            return permanentWriteErrno(err) ? WriteAttempt::kDiskFull
-                                            : WriteAttempt::kRetry;
-        }
-    }
-    fs::rename(tmp, finalPath, ec);
-    if (ec) {
-        int err = errnoOf(ec);
-        fs::remove(tmp, ec);
-        return permanentWriteErrno(err) ? WriteAttempt::kDiskFull
-                                        : WriteAttempt::kRetry;
-    }
-    stats_.puts.fetch_add(1, std::memory_order_relaxed);
-    stats_.bytesWritten.fetch_add(write_len, std::memory_order_relaxed);
-    approxDiskBytes_.fetch_add(write_len, std::memory_order_relaxed);
-    return WriteAttempt::kOk;
 }
 
 void
 KernelResultStore::put(const sim::KernelSimKey &key,
                        const sim::KernelSimResult &result) const
 {
-    if (degraded_.load(std::memory_order_relaxed)) {
-        stats_.putsSkippedDegraded.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-
     std::string bytes = encodeRecord(key, result);
-    std::string final_path = recordPath(key);
-    uint64_t key_hash = sim::kernelSimKeyHash(key);
-
-    for (unsigned attempt = 0; attempt < kIoAttempts; ++attempt) {
-        switch (tryPut(bytes, final_path, key_hash)) {
-        case WriteAttempt::kOk:
-            maybeEvict();
-            return;
-        case WriteAttempt::kDiskFull:
-            stats_.putFailures.fetch_add(1, std::memory_order_relaxed);
-            markDegraded(strfmt("cannot write '%s': disk full or "
-                                "read-only filesystem",
-                                final_path.c_str()));
-            return;
-        case WriteAttempt::kRetry:
-            break;
-        }
-        if (attempt + 1 < kIoAttempts) {
-            stats_.ioRetries.fetch_add(1, std::memory_order_relaxed);
-            backoff(attempt);
-        }
-    }
-    stats_.putFailures.fetch_add(1, std::memory_order_relaxed);
-    stats_.retryExhausted.fetch_add(1, std::memory_order_relaxed);
-    warnRateLimited("store.write",
-                    strfmt("result store: cannot write '%s' after %u "
-                           "attempts; result not persisted",
-                           final_path.c_str(), kIoAttempts));
-}
-
-void
-KernelResultStore::markDegraded(const std::string &why) const
-{
-    bool expected = false;
-    if (!degraded_.compare_exchange_strong(expected, true,
-                                           std::memory_order_relaxed))
-        return; // already degraded; first failure already warned
-    stats_.degraded.store(1, std::memory_order_relaxed);
-    warn(strfmt("result store '%s': %s; degrading to compute-through "
-                "mode (reads continue, results are no longer persisted)",
-                root_.c_str(), why.c_str()));
+    if (!objects_.publish(sim::kernelSimKeyHash(key), bytes))
+        return;
+    stats_.puts.fetch_add(1, std::memory_order_relaxed);
+    stats_.bytesWritten.fetch_add(bytes.size(), std::memory_order_relaxed);
+    approxDiskBytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
+    maybeEvict();
 }
 
 void
@@ -440,29 +268,13 @@ KernelResultStore::setMemoryBudgetBytes(uint64_t bytes)
 uint64_t
 KernelResultStore::recordCount() const
 {
-    uint64_t count = 0;
-    std::error_code ec;
-    fs::recursive_directory_iterator it(fs::path(root_) / "objects", ec);
-    if (ec)
-        return 0;
-    for (const auto &entry : it)
-        if (entry.is_regular_file(ec) && entry.path().extension() == ".pkr")
-            ++count;
-    return count;
+    return recordUsage(objects_.root()).first;
 }
 
 uint64_t
 KernelResultStore::recordBytes() const
 {
-    uint64_t bytes = 0;
-    std::error_code ec;
-    fs::recursive_directory_iterator it(fs::path(root_) / "objects", ec);
-    if (ec)
-        return 0;
-    for (const auto &entry : it)
-        if (entry.is_regular_file(ec) && entry.path().extension() == ".pkr")
-            bytes += entry.file_size(ec);
-    return bytes;
+    return recordUsage(objects_.root()).second;
 }
 
 } // namespace pka::store

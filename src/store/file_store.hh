@@ -6,14 +6,13 @@
  *
  *   <root>/objects/<hh>/<hash16>.pkr   — hh = first hex byte of the key
  *                                        hash (256-way directory shard)
- *   <root>/tmp/                        — staging area for atomic writes
  *
- * Records are written to a unique temp file and renamed into place, so a
- * concurrent reader sees either the old record or the complete new one,
- * never a torn write; racing writers of the same key produce identical
- * bytes (results are deterministic), so last-rename-wins is safe. Reads
- * re-verify everything (size, CRC, full key echo — see record.hh): a
- * corrupt or mismatched record is a warned-once miss, never fatal.
+ * The objects tree is a DurableDir (durable_dir.hh), which owns the
+ * layout, the atomic publish, retries, degradation and the debris
+ * sweep; this class keeps the record codec, the reads and the disk
+ * budget. Reads re-verify everything (size, CRC, full key echo — see
+ * record.hh): a corrupt or mismatched record is a warned-once miss,
+ * never fatal.
  *
  * Thread-safe: lookups and insertions may run concurrently from every
  * engine pool worker. The store sits *under* SimEngine's in-memory cache
@@ -32,6 +31,7 @@
 
 #include "sim/engine.hh"
 #include "sim/simulator.hh"
+#include "store/durable_dir.hh"
 #include "store/stats.hh"
 
 namespace pka::store
@@ -47,20 +47,6 @@ enum class Lookup
     kCorrupt, ///< record present but failed validation (skipped)
 };
 
-/** Outcome of one write attempt (store record or sig entry). */
-enum class WriteAttempt
-{
-    kOk,       ///< persisted
-    kRetry,    ///< transient failure — a fresh attempt may succeed
-    kDiskFull, ///< permanent failure (ENOSPC / read-only fs): do not
-               ///< retry; the caller must degrade to compute-through
-};
-
-/** True when `err` (an errno value) means writes can never succeed
- *  until an operator intervenes: disk full, quota, read-only or
- *  permission-denied filesystem, a path component replaced by a file. */
-bool permanentWriteErrno(int err);
-
 /** Oldest-first (mtime) eviction of .pkr records under `root`/objects
  *  until their total size is <= `targetBytes`. Shared by the online
  *  disk budget and `pka fsck --store-budget-mb` compaction. Returns
@@ -72,16 +58,11 @@ evictOldestRecords(const std::string &root, uint64_t targetBytes);
 class KernelResultStore
 {
   public:
-    /** Attempts per read/write before a transient failure is permanent. */
-    static constexpr unsigned kIoAttempts = 3;
-
-    /** Backoff before retry r (0-based) in milliseconds: 1, 2, 4, ... */
-    static constexpr unsigned kIoBackoffBaseMs = 1;
-
     /**
-     * Open (creating directories as needed) a store rooted at `root`,
-     * sweeping any orphaned .tmp staging files a killed writer
-     * left behind (counted in StoreStats::orphansSwept). Throws
+     * Open (creating directories as needed) a store rooted at `root`.
+     * Opening is O(1) in the record count: staging debris a killed
+     * writer left in a shard is swept by the first put into that shard
+     * (counted in orphansSwept). Throws
      * common::TaskException(kStoreIo) when the root cannot be created —
      * the CLI layer converts that to a clean fatal(); library callers
      * (campaigns) may catch and degrade to an uncached run.
@@ -106,7 +87,7 @@ class KernelResultStore
      * Look `key` up on disk. On kHit fills `*out`; kCorrupt means a
      * record existed but was rejected (already warned and counted). A
      * transient read failure (stream went bad mid-read, or an injected
-     * store.read I/O fault) is retried kIoAttempts times with
+     * store.read I/O fault) is retried DurableDir::kIoAttempts times with
      * exponential backoff, then degrades to kMiss — the engine simply
      * re-simulates, so an unreadable disk can slow a campaign but never
      * wedge or corrupt it.
@@ -115,25 +96,18 @@ class KernelResultStore
                sim::KernelSimResult *out) const;
 
     /**
-     * Persist `result` under `key` (atomic write-to-temp-then-rename).
-     * Best-effort with bounded retries: a transiently failing write is
-     * retried kIoAttempts times with exponential backoff from a fresh
-     * staging file; retry exhaustion warns (rate-limited) and counts,
-     * never aborts the campaign. A *permanent* failure (ENOSPC, quota,
-     * read-only filesystem — real or injected via the store.write
-     * `enospc` fault kind) is not retried: the store degrades to
-     * compute-through (degraded() becomes true, every further put is
-     * dropped and counted) and the campaign simply keeps simulating.
+     * Persist `result` under `key` through DurableDir::publish: atomic,
+     * best-effort with bounded retries, never aborting the campaign. A
+     * *permanent* failure degrades the store to compute-through
+     * (degraded() becomes true, every further put is dropped and
+     * counted) and the campaign simply keeps simulating.
      */
     void put(const sim::KernelSimKey &key,
              const sim::KernelSimResult &result) const;
 
     /** True once a permanent write failure disabled persistence; reads
      *  keep working, puts are dropped (compute-through mode). */
-    bool degraded() const
-    {
-        return degraded_.load(std::memory_order_relaxed);
-    }
+    bool degraded() const { return objects_.degraded(); }
 
     /**
      * Bound the cache directory to ~`bytes` of record data. Checked
@@ -153,7 +127,7 @@ class KernelResultStore
     void setMemoryBudgetBytes(uint64_t bytes);
 
     /** Counters snapshot (hits/misses/corrupt/puts/bytes). */
-    StoreStatsSnapshot stats() const { return stats_.snapshot(); }
+    StoreStatsSnapshot stats() const;
 
     /** The similarity tier's signature index; nullptr when disabled. */
     const SignatureIndex *similarity() const { return sigIndex_.get(); }
@@ -165,30 +139,16 @@ class KernelResultStore
     uint64_t recordBytes() const;
 
   private:
-    std::string recordPath(const sim::KernelSimKey &key) const;
-
     /** One read attempt; sets *transient when a retry could succeed. */
     Lookup tryGet(const std::string &path, const sim::KernelSimKey &key,
                   sim::KernelSimResult *out, bool *transient) const;
-
-    /** One write attempt (fresh staging file). */
-    WriteAttempt tryPut(const std::string &bytes,
-                        const std::string &finalPath,
-                        uint64_t keyHash) const;
-
-    /** Remove stale .tmp staging files left by a killed writer. */
-    void sweepOrphans();
-
-    /** Flip into compute-through mode (idempotent, warns once). */
-    void markDegraded(const std::string &why) const;
 
     /** Evict down to 90% of the disk budget when over it. */
     void maybeEvict() const;
 
     std::string root_;
+    DurableDir objects_;
     mutable StoreStats stats_;
-    mutable std::atomic<uint64_t> tempCounter_{0};
-    mutable std::atomic<bool> degraded_{false};
     uint64_t diskBudgetBytes_ = 0;
     mutable std::atomic<uint64_t> approxDiskBytes_{0};
     mutable std::mutex evictMu_;

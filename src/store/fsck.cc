@@ -1,17 +1,17 @@
 #include "store/fsck.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <system_error>
 #include <vector>
 
 #include "common/logging.hh"
 #include "sim/engine.hh"
+#include "store/durable_dir.hh"
 #include "store/file_store.hh"
+#include "store/journal.hh"
 #include "store/record.hh"
 #include "store/sig_index.hh"
 
@@ -26,283 +26,38 @@ using pka::common::warn;
 namespace
 {
 
-std::string
-hex16(uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-}
-
-/** Whole-file read; false when the file cannot be opened/read. */
-bool
-readFile(const fs::path &p, std::string *out)
-{
-    std::ifstream is(p, std::ios::binary);
-    if (!is)
-        return false;
-    std::error_code ec;
-    uint64_t size = fs::file_size(p, ec);
-    if (ec)
-        return false;
-    out->resize(size);
-    is.read(out->data(), static_cast<std::streamsize>(size));
-    return static_cast<uint64_t>(is.gcount()) == size && !is.bad();
-}
-
-/**
- * Move `p` under `<root>/quarantine/`, uniquified on name collision.
- * Quarantine preserves the bytes for post-mortem — fsck never deletes
- * what it cannot verify.
- */
-bool
-quarantineFile(const fs::path &root, const fs::path &p)
-{
-    std::error_code ec;
-    fs::path qdir = root / "quarantine";
-    fs::create_directories(qdir, ec);
-    if (ec)
-        return false;
-    fs::path dest = qdir / p.filename();
-    for (unsigned n = 1; fs::exists(dest, ec); ++n)
-        dest = qdir / (p.filename().string() + strfmt(".%u", n));
-    fs::rename(p, dest, ec);
-    return !ec;
-}
-
-/** All regular files under `dir` with extension `ext`, sorted by path
- *  so scan order (and thus report/warning order) is deterministic. */
-std::vector<fs::path>
-filesWithExtension(const fs::path &dir, const char *ext)
-{
-    std::vector<fs::path> out;
-    std::error_code ec;
-    fs::recursive_directory_iterator it(dir, ec);
-    if (ec)
-        return out;
-    for (const auto &entry : it)
-        if (entry.is_regular_file(ec) && entry.path().extension() == ext)
-            out.push_back(entry.path());
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-void
-scrubRecords(const fs::path &root, const FsckOptions &opts,
-             FsckReport *rep)
-{
-    for (const fs::path &p : filesWithExtension(root / "objects", ".pkr")) {
-        ++rep->recordsScanned;
-        std::string bytes;
-        sim::KernelSimKey key;
-        sim::KernelSimResult result;
-        if (!readFile(p, &bytes) ||
-            decodeRecordAny(bytes.data(), bytes.size(), &key, &result) !=
-                DecodeStatus::kOk) {
-            ++rep->recordsCorrupt;
-            warn(strfmt("fsck: corrupt record '%s' (%zu bytes)",
-                        p.string().c_str(), bytes.size()));
-            if (opts.repair && quarantineFile(root, p))
-                ++rep->quarantinedFiles;
-            continue;
-        }
-        std::string want = hex16(sim::kernelSimKeyHash(key));
-        if (p.stem().string() != want) {
-            // The bytes are sound but unreachable: lookups compute the
-            // path from the key hash, so a misnamed record never hits.
-            ++rep->recordsMisnamed;
-            warn(strfmt("fsck: record '%s' is named for the wrong key "
-                        "(stored key hashes to %s)",
-                        p.string().c_str(), want.c_str()));
-            if (opts.repair) {
-                std::error_code ec;
-                fs::path dest = root / "objects" / want.substr(0, 2) /
-                                (want + ".pkr");
-                if (fs::exists(dest, ec)) {
-                    // The right name already holds a record; keep it and
-                    // park the stray copy.
-                    if (quarantineFile(root, p))
-                        ++rep->quarantinedFiles;
-                } else {
-                    fs::create_directories(dest.parent_path(), ec);
-                    fs::rename(p, dest, ec);
-                    if (!ec) {
-                        ++rep->recordsRenamed;
-                        ++rep->recordsValid;
-                        rep->recordBytes += bytes.size();
-                    } else if (quarantineFile(root, p)) {
-                        ++rep->quarantinedFiles;
-                    }
-                }
-            }
-            continue;
-        }
-        ++rep->recordsValid;
-        rep->recordBytes += bytes.size();
-    }
-}
-
-void
-scrubSigEntries(const fs::path &root, const FsckOptions &opts,
-                FsckReport *rep)
-{
-    for (const fs::path &p : filesWithExtension(root / "sig", ".pks")) {
-        ++rep->sigScanned;
-        std::string bytes;
-        SigEntry entry;
-        uint32_t version = 0;
-        SigDecodeStatus st =
-            readFile(p, &bytes)
-                ? decodeSigEntryEx(bytes.data(), bytes.size(), &entry,
-                                   &version)
-                : SigDecodeStatus::kCorrupt;
-        if (st != SigDecodeStatus::kOk) {
-            // Version skew (intact CRC, version/length mismatch or a
-            // future version) is rejected like corruption — a torn or
-            // mixed-version record must never serve — but counted
-            // apart: it points at a writer bug, not bit rot.
-            if (st == SigDecodeStatus::kVersionSkew) {
-                ++rep->sigVersionSkew;
-                warn(strfmt("fsck: version-skewed signature entry '%s' "
-                            "(%zu bytes)",
-                            p.string().c_str(), bytes.size()));
-            } else {
-                ++rep->sigCorrupt;
-                warn(strfmt("fsck: corrupt signature entry '%s' "
-                            "(%zu bytes)",
-                            p.string().c_str(), bytes.size()));
-            }
-            if (opts.repair && quarantineFile(root, p))
-                ++rep->quarantinedFiles;
-            continue;
-        }
-        if (version < 2)
-            // Pre-audit entry: perfectly valid, reads as unaudited.
-            ++rep->sigLegacy;
-        std::string want = hex16(sim::kernelSimKeyHash(entry.key));
-        if (p.stem().string() != want) {
-            ++rep->sigMisnamed;
-            warn(strfmt("fsck: signature entry '%s' is named for the "
-                        "wrong key (stored key hashes to %s)",
-                        p.string().c_str(), want.c_str()));
-            if (opts.repair) {
-                std::error_code ec;
-                fs::path dest =
-                    root / "sig" / want.substr(0, 2) / (want + ".pks");
-                if (fs::exists(dest, ec)) {
-                    if (quarantineFile(root, p))
-                        ++rep->quarantinedFiles;
-                } else {
-                    fs::create_directories(dest.parent_path(), ec);
-                    fs::rename(p, dest, ec);
-                    if (!ec) {
-                        ++rep->sigRenamed;
-                        ++rep->sigValid;
-                    } else if (quarantineFile(root, p)) {
-                        ++rep->quarantinedFiles;
-                    }
-                }
-            }
-            continue;
-        }
-        ++rep->sigValid;
-    }
-}
-
-void
-sweepStaging(const fs::path &dir, const FsckOptions &opts,
-             FsckReport *rep)
-{
-    std::error_code ec;
-    fs::directory_iterator it(dir, ec);
-    if (ec)
-        return;
-    for (const auto &entry : it) {
-        if (!entry.is_regular_file(ec) ||
-            entry.path().extension() != ".tmp")
-            continue;
-        ++rep->tmpOrphans;
-        if (opts.repair)
-            fs::remove(entry.path(), ec);
-    }
-}
-
 /** One journal: validate the header, find the torn tail (if any) and,
- *  in repair mode, truncate back to the last fully readable line. */
+ *  in repair mode, truncate back to the last fully readable line — the
+ *  prefix CampaignJournal would trust on resume anyway. */
 void
-scrubJournal(const fs::path &root, const fs::path &p,
+scrubJournal(const std::string &quarantineDir, const fs::path &p,
              const FsckOptions &opts, FsckReport *rep)
 {
     ++rep->journalsScanned;
     std::string bytes;
-    if (!readFile(p, &bytes)) {
-        ++rep->journalsBad;
-        if (opts.repair && quarantineFile(root, p))
-            ++rep->quarantinedFiles;
-        return;
-    }
+    if (!readFile(p.string(), &bytes))
+        bytes.clear(); // an unreadable journal has no readable header
+    JournalContents j = parseJournal(bytes);
 
-    // Walk line by line, tracking the byte offset of the first line that
-    // fails to parse — everything before it is the trusted prefix
-    // CampaignJournal would load anyway.
-    size_t offset = 0, line_no = 0;
-    size_t good_end = 0; // bytes of verified prefix
-    bool torn = false, bad_header = false;
-    while (offset < bytes.size()) {
-        size_t eol = bytes.find('\n', offset);
-        bool has_newline = eol != std::string::npos;
-        std::string line = bytes.substr(
-            offset, has_newline ? eol - offset : std::string::npos);
-        size_t next = has_newline ? eol + 1 : bytes.size();
-
-        bool ok = false;
-        if (line_no == 0) {
-            ok = line == "# pka-journal v1";
-            bad_header = !ok;
-        } else if (line_no == 1) {
-            uint64_t key = 0;
-            ok = std::sscanf(line.c_str(), "campaign,%" SCNx64, &key) == 1;
-            bad_header = !ok;
-        } else if (line_no == 2) {
-            unsigned long long launches = 0;
-            ok = std::sscanf(line.c_str(), "launches,%llu", &launches) == 1;
-            bad_header = !ok;
-        } else {
-            unsigned long long idx = 0;
-            uint64_t qhash = 0;
-            ok = std::sscanf(line.c_str(), "done,%llu", &idx) == 1 ||
-                 std::sscanf(line.c_str(), "quarantine,%" SCNx64,
-                             &qhash) == 1;
-        }
-        if (!ok || !has_newline) {
-            torn = !bad_header;
-            break;
-        }
-        good_end = next;
-        offset = next;
-        ++line_no;
-    }
-
-    if (bad_header) {
+    if (!j.headerError.empty()) {
         // Not a journal (or its header was destroyed): nothing to
         // salvage, CampaignJournal would restart the campaign anyway.
         ++rep->journalsBad;
-        warn(strfmt("fsck: journal '%s' has an unreadable header",
-                    p.string().c_str()));
-        if (opts.repair && quarantineFile(root, p))
+        warn(strfmt("fsck: journal '%s' has an unreadable header (%s)",
+                    p.string().c_str(), j.headerError.c_str()));
+        if (opts.repair && quarantineFile(quarantineDir, p.string()))
             ++rep->quarantinedFiles;
         return;
     }
-    if (!torn)
+    if (j.goodBytes == bytes.size())
         return;
 
     ++rep->journalsTorn;
     warn(strfmt("fsck: journal '%s' has a torn tail at byte %zu",
-                p.string().c_str(), good_end));
+                p.string().c_str(), j.goodBytes));
     if (opts.repair) {
         std::error_code ec;
-        fs::resize_file(p, good_end, ec);
+        fs::resize_file(p, j.goodBytes, ec);
         if (!ec)
             ++rep->journalsTruncated;
     }
@@ -315,23 +70,90 @@ fsckStore(const std::string &root, const FsckOptions &opts)
 {
     FsckReport rep;
     fs::path r(root);
+    const std::string qdir = (r / "quarantine").string();
 
-    scrubRecords(r, opts, &rep);
-    scrubSigEntries(r, opts, &rep);
-    sweepStaging(r / "tmp", opts, &rep);
-    sweepStaging(r / "sig" / "tmp", opts, &rep);
-    // Journals live wherever a session put them, so walk the whole root
-    // — but never re-flag what an earlier repair already parked under
-    // quarantine/ (quarantined files are post-mortem evidence, not
-    // damage to report again).
-    std::string qprefix = (r / "quarantine").string();
-    for (const fs::path &p : filesWithExtension(r, ".pkj"))
-        if (p.string().compare(0, qprefix.size(), qprefix) != 0)
-            scrubJournal(r, p, opts, &rep);
+    ScrubTally rec = DurableDir::scrub(
+        (r / "objects").string(), kRecordExt, opts.repair, qdir,
+        [&](const std::string &p,
+            const std::string &bytes) -> std::optional<uint64_t> {
+            sim::KernelSimKey key;
+            sim::KernelSimResult result;
+            if (decodeRecordAny(bytes.data(), bytes.size(), &key,
+                                &result) == DecodeStatus::kOk)
+                return sim::kernelSimKeyHash(key);
+            ++rep.recordsCorrupt;
+            warn(strfmt("fsck: corrupt record '%s' (%zu bytes)", p.c_str(),
+                        bytes.size()));
+            return std::nullopt;
+        });
+    rep.recordsScanned = rec.scanned;
+    rep.recordsValid = rec.valid;
+    rep.recordsMisnamed = rec.misnamed;
+    rep.recordsRenamed = rec.renamed;
+    rep.recordBytes = rec.validBytes;
+
+    ScrubTally sig = DurableDir::scrub(
+        (r / "sig").string(), kSigEntryExt, opts.repair, qdir,
+        [&](const std::string &p,
+            const std::string &bytes) -> std::optional<uint64_t> {
+            SigEntry entry;
+            uint32_t version = 0;
+            SigDecodeStatus st = decodeSigEntryEx(
+                bytes.data(), bytes.size(), &entry, &version);
+            if (st == SigDecodeStatus::kOk) {
+                if (version < 2)
+                    ++rep.sigLegacy; // pre-audit: valid, reads unaudited
+                return sim::kernelSimKeyHash(entry.key);
+            }
+            // Version skew is rejected like corruption — a torn or
+            // mixed-version entry must never serve — but counted apart:
+            // it points at a writer bug, not bit rot.
+            bool skew = st == SigDecodeStatus::kVersionSkew;
+            ++(skew ? rep.sigVersionSkew : rep.sigCorrupt);
+            warn(strfmt("fsck: %s signature entry '%s' (%zu bytes)",
+                        skew ? "version-skewed" : "corrupt", p.c_str(),
+                        bytes.size()));
+            return std::nullopt;
+        });
+    rep.sigScanned = sig.scanned;
+    rep.sigValid = sig.valid;
+    rep.sigMisnamed = sig.misnamed;
+    rep.sigRenamed = sig.renamed;
+    rep.quarantinedFiles = rec.quarantined + sig.quarantined;
+
+    // One walk for what no tier owns: staging debris anywhere (in the
+    // shards, or in the tmp/ areas of caches written by older builds)
+    // and journals wherever a session put them. Never re-flag what an
+    // earlier repair parked under quarantine/: those files are
+    // post-mortem evidence, not damage to report again.
+    std::vector<fs::path> files;
+    std::error_code ec;
+    for (fs::recursive_directory_iterator it(r, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        if (it->path() == fs::path(qdir)) {
+            it.disable_recursion_pending();
+            continue;
+        }
+        fs::path ext = it->path().extension();
+        std::error_code fec;
+        if (it->is_regular_file(fec) && (ext == ".tmp" || ext == ".pkj"))
+            files.push_back(it->path());
+    }
+    std::sort(files.begin(), files.end());
+    for (const fs::path &p : files) {
+        if (p.extension() == ".pkj") {
+            scrubJournal(qdir, p, opts, &rep);
+            continue;
+        }
+        ++rep.tmpOrphans;
+        if (opts.repair)
+            fs::remove(p, ec);
+    }
 
     if (opts.budgetBytes != 0) {
-        auto [files, bytes] = evictOldestRecords(root, opts.budgetBytes);
-        rep.evictedRecords = files;
+        auto [files_evicted, bytes] =
+            evictOldestRecords(root, opts.budgetBytes);
+        rep.evictedRecords = files_evicted;
         rep.evictedBytes = bytes;
         if (rep.recordBytes >= bytes)
             rep.recordBytes -= bytes;

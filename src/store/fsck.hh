@@ -73,7 +73,7 @@ struct FsckReport
     /** Corrupt/unrecoverable files moved under <root>/quarantine/. */
     uint64_t quarantinedFiles = 0;
 
-    // Staging areas (<root>/tmp, <root>/sig/tmp)
+    // Staging debris (<root>/**/*.tmp outside quarantine/)
     uint64_t tmpOrphans = 0; ///< found (and removed, in repair mode)
 
     // Journals (<root>/**/*.pkj)

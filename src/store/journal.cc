@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstring>
+#include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "common/fault.hh"
 #include "common/logging.hh"
+#include "store/durable_dir.hh"
 
 namespace pka::store
 {
@@ -21,6 +21,52 @@ namespace
 constexpr const char *kMagicLine = "# pka-journal v1";
 
 } // namespace
+
+JournalContents
+parseJournal(const std::string &bytes)
+{
+    JournalContents j;
+    size_t offset = 0, line_no = 0;
+    for (; offset < bytes.size(); ++line_no) {
+        size_t eol = bytes.find('\n', offset);
+        if (eol == std::string::npos)
+            break; // a final line without its newline is torn
+        std::string line = bytes.substr(offset, eol - offset);
+        unsigned long long n = 0;
+        uint64_t h = 0;
+        if (line_no == 0) {
+            if (line != kMagicLine)
+                j.headerError = "not a pka journal (missing magic header)";
+        } else if (line_no == 1) {
+            if (std::sscanf(line.c_str(), "campaign,%" SCNx64, &h) == 1)
+                j.campaignKey = h;
+            else
+                j.headerError = "malformed campaign-key line";
+        } else if (line_no == 2) {
+            if (std::sscanf(line.c_str(), "launches,%llu", &n) == 1)
+                j.launches = n;
+            else
+                j.headerError = "malformed launch-count line";
+        } else if (std::sscanf(line.c_str(), "done,%llu", &n) == 1 &&
+                   n < j.launches) {
+            j.done.push_back(n);
+        } else if (std::sscanf(line.c_str(), "quarantine,%" SCNx64, &h) ==
+                   1) {
+            if (std::find(j.quarantined.begin(), j.quarantined.end(), h) ==
+                j.quarantined.end())
+                j.quarantined.push_back(h);
+        } else {
+            break; // garbage ends the trusted prefix
+        }
+        if (!j.headerError.empty())
+            return j;
+        offset = eol + 1;
+        j.goodBytes = offset;
+    }
+    if (line_no < 3)
+        j.headerError = "truncated header";
+    return j;
+}
 
 std::string
 sessionDir(const std::string &cacheDir, const std::string &sessionKey)
@@ -63,64 +109,39 @@ CampaignJournal::~CampaignJournal()
 bool
 CampaignJournal::loadExisting(uint64_t campaign_key)
 {
-    std::ifstream is(path_);
-    if (!is)
+    std::string bytes;
+    if (!readFile(path_, &bytes))
         return false; // nothing to resume — silently start fresh
 
-    auto reject = [&](const std::string &why) {
+    JournalContents j = parseJournal(bytes);
+    std::string why = j.headerError;
+    if (why.empty() && j.campaignKey != campaign_key)
+        why = strfmt("campaign key %016" PRIx64
+                     " does not match this run's %016" PRIx64,
+                     j.campaignKey, campaign_key);
+    if (why.empty() && j.launches != done_.size())
+        why = "launch count does not match this campaign";
+    if (!why.empty()) {
         warn(strfmt("campaign journal '%s': %s; restarting the campaign "
                     "from scratch",
                     path_.c_str(), why.c_str()));
-        std::fill(done_.begin(), done_.end(), 0);
-        doneCount_ = 0;
         return false;
-    };
-
-    std::string line;
-    if (!std::getline(is, line) || line != kMagicLine)
-        return reject("not a pka journal (missing magic header)");
-
-    uint64_t key = 0;
-    if (!std::getline(is, line) ||
-        std::sscanf(line.c_str(), "campaign,%" SCNx64, &key) != 1)
-        return reject("malformed campaign-key line");
-    if (key != campaign_key)
-        return reject(strfmt("campaign key %016" PRIx64
-                             " does not match this run's %016" PRIx64,
-                             key, campaign_key));
-
-    unsigned long long launches = 0;
-    if (!std::getline(is, line) ||
-        std::sscanf(line.c_str(), "launches,%llu", &launches) != 1 ||
-        launches != static_cast<unsigned long long>(done_.size()))
-        return reject("launch count does not match this campaign");
-
-    // Entry lines. A torn final line (the crash that interrupted the
-    // previous run) or any other garbage ends the readable prefix — the
-    // entries before it are still trusted.
-    while (std::getline(is, line)) {
-        unsigned long long idx = 0;
-        uint64_t qhash = 0;
-        if (std::sscanf(line.c_str(), "done,%llu", &idx) == 1 &&
-            idx < static_cast<unsigned long long>(done_.size())) {
-            if (!done_[idx]) {
-                done_[idx] = 1;
-                ++doneCount_;
-            }
-            continue;
-        }
-        if (std::sscanf(line.c_str(), "quarantine,%" SCNx64, &qhash) ==
-            1) {
-            if (std::find(quarantined_.begin(), quarantined_.end(),
-                          qhash) == quarantined_.end())
-                quarantined_.push_back(qhash);
-            continue;
-        }
-        warn(strfmt("campaign journal '%s': ignoring unreadable "
-                    "tail starting at '%.32s'",
-                    path_.c_str(), line.c_str()));
-        break;
     }
+
+    for (uint64_t idx : j.done) {
+        if (!done_[idx]) {
+            done_[idx] = 1;
+            ++doneCount_;
+        }
+    }
+    quarantined_ = std::move(j.quarantined);
+    // A torn final line (the crash that interrupted the previous run) or
+    // any other garbage ends the readable prefix — the entries before it
+    // are still trusted.
+    if (j.goodBytes < bytes.size())
+        warn(strfmt("campaign journal '%s': ignoring unreadable tail "
+                    "starting at '%.32s'",
+                    path_.c_str(), bytes.c_str() + j.goodBytes));
     return true;
 }
 

@@ -50,6 +50,24 @@ namespace pka::store
 std::string sessionDir(const std::string &cacheDir,
                        const std::string &sessionKey);
 
+/** The trusted content of one journal file. */
+struct JournalContents
+{
+    /** Empty when the three header lines parse; otherwise why not. */
+    std::string headerError;
+    uint64_t campaignKey = 0;
+    uint64_t launches = 0;
+    std::vector<uint64_t> done;        ///< done indices (< launches)
+    std::vector<uint64_t> quarantined; ///< distinct, in file order
+
+    /** Bytes of whole, parseable lines. Anything past it is a torn tail
+     *  (a crash mid-append) or garbage, and is never trusted. */
+    size_t goodBytes = 0;
+};
+
+/** Parse journal bytes: the one reader behind resume and `pka fsck`. */
+JournalContents parseJournal(const std::string &bytes);
+
 /** Per-launch completion ledger for one campaign. */
 class CampaignJournal
 {

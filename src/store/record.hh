@@ -31,6 +31,9 @@
 namespace pka::store
 {
 
+/** File extension of a published record. */
+inline constexpr const char *kRecordExt = ".pkr";
+
 /** Exact on-disk size of a v1 record in bytes. */
 constexpr size_t kRecordSize =
     4 + 4 +                  // magic + version

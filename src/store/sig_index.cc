@@ -1,29 +1,19 @@
 #include "store/sig_index.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <system_error>
-#include <thread>
 
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
 #include "store/crc32.hh"
-#include "store/file_store.hh"
-
-namespace fs = std::filesystem;
 
 namespace pka::store
 {
 
 using pka::common::strfmt;
-using pka::common::warn;
 using pka::common::warnRateLimited;
 
 int32_t
@@ -142,22 +132,6 @@ struct Reader
     }
 };
 
-std::string
-hex16(uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-}
-
-void
-backoff(unsigned r)
-{
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        KernelResultStore::kIoBackoffBaseMs << r));
-}
-
 } // namespace
 
 std::string
@@ -267,70 +241,19 @@ decodeSigEntry(const void *data, size_t size, SigEntry *out)
 }
 
 SignatureIndex::SignatureIndex(std::string root)
-    : root_(std::move(root))
+    : dir_(std::move(root), kSigEntryExt, "signature index")
 {
-    std::error_code ec;
-    fs::create_directories(fs::path(root_) / "tmp", ec);
-    if (ec)
-        throw pka::common::TaskException(
-            pka::common::ErrorKind::kStoreIo,
-            strfmt("cannot create signature index at '%s': %s",
-                   root_.c_str(), ec.message().c_str()));
-    sweepOrphans();
-    loadEntries();
-}
-
-void
-SignatureIndex::sweepOrphans()
-{
-    // Same contract as the exact store: staging files are renamed away
-    // immediately, so anything in tmp/ at open is debris from a killed
-    // writer, and opening precedes this process's own writes.
-    std::error_code ec;
-    fs::directory_iterator it(fs::path(root_) / "tmp", ec);
-    if (ec)
-        return;
-    uint64_t swept = 0;
-    for (const auto &entry : it) {
-        if (!entry.is_regular_file(ec) ||
-            entry.path().extension() != ".tmp")
-            continue;
-        if (fs::remove(entry.path(), ec))
-            ++swept;
-    }
-    if (swept) {
-        orphansSwept_.fetch_add(swept, std::memory_order_relaxed);
-        warn(strfmt("signature index '%s': swept %llu orphaned staging "
-                    "file(s) from an interrupted run",
-                    root_.c_str(), static_cast<unsigned long long>(swept)));
-    }
-}
-
-void
-SignatureIndex::loadEntries()
-{
-    std::error_code ec;
-    fs::recursive_directory_iterator it(root_, ec);
-    if (ec)
-        return;
     uint64_t corrupt = 0, legacy = 0;
-    for (const auto &f : it) {
-        if (!f.is_regular_file(ec) || f.path().extension() != ".pks")
-            continue;
-        std::ifstream is(f.path(), std::ios::binary);
+    dir_.walk([&](const std::string &path, uint64_t nameHash) {
+        std::ifstream is(path, std::ios::binary);
         // Over-read by one byte so trailing junk fails the size check.
         std::string bytes(kSigEntrySize + 1, '\0');
         is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
         size_t got = static_cast<size_t>(is.gcount());
 
-        uint64_t name_hash = 0;
-        {
-            // Entry files are named by the key hash; parse it back so
-            // injected read faults key deterministically per entry.
-            std::string stem = f.path().stem().string();
-            name_hash = std::strtoull(stem.c_str(), nullptr, 16);
-        }
-        if (auto flt = pka::common::faultAt("store.read", name_hash)) {
+        // Injected read faults key deterministically per entry by the
+        // key hash its file is named for.
+        if (auto flt = pka::common::faultAt("store.read", nameHash)) {
             if (*flt == pka::common::FaultKind::kCorrupt)
                 bytes[0] = static_cast<char>(bytes[0] ^ 0xff);
             else if (*flt == pka::common::FaultKind::kShortWrite)
@@ -351,26 +274,19 @@ SignatureIndex::loadEntries()
                 "sig.corrupt",
                 strfmt("signature index: skipping corrupt entry '%s' "
                        "(%zu bytes)",
-                       f.path().string().c_str(), got));
-            continue;
+                       path.c_str(), got));
+            return;
         }
         if (version < 2)
             ++legacy; // PR 8-era entry: serves as unaudited
         entries_.push_back(e);
         entryKeyHashes_.push_back(sim::kernelSimKeyHash(e.key));
-    }
+    });
     loaded_.store(entries_.size(), std::memory_order_relaxed);
     if (corrupt)
         corruptSkipped_.fetch_add(corrupt, std::memory_order_relaxed);
     if (legacy)
         legacyLoaded_.fetch_add(legacy, std::memory_order_relaxed);
-}
-
-std::string
-SignatureIndex::entryPath(uint64_t keyHash) const
-{
-    std::string h = hex16(keyHash);
-    return (fs::path(root_) / h.substr(0, 2) / (h + ".pks")).string();
 }
 
 uint64_t
@@ -482,79 +398,7 @@ SignatureIndex::recordAudit(uint64_t keyHash, double observedErr,
                        "bound violation (observed %.4f relative error)",
                        hex16(keyHash).c_str(), observedErr));
     }
-    persistEntry(updated, keyHash);
-}
-
-WriteAttempt
-SignatureIndex::tryWrite(const std::string &bytes,
-                         const std::string &finalPath,
-                         uint64_t keyHash) const
-{
-    std::error_code ec;
-    fs::create_directories(fs::path(finalPath).parent_path(), ec);
-    if (ec)
-        return WriteAttempt::kRetry;
-
-    size_t write_len = bytes.size();
-    const char *data = bytes.data();
-    std::string corrupted;
-    if (auto f = pka::common::faultAt("store.write", keyHash)) {
-        switch (*f) {
-        case pka::common::FaultKind::kIoError:
-            return WriteAttempt::kRetry;
-        case pka::common::FaultKind::kDiskFull:
-            return WriteAttempt::kDiskFull;
-        case pka::common::FaultKind::kShortWrite:
-            // A torn entry reaching disk: size/CRC reject it at the
-            // next load and the kernel is simply re-indexed later.
-            write_len /= 2;
-            break;
-        case pka::common::FaultKind::kCorrupt:
-            corrupted = bytes;
-            corrupted[0] = static_cast<char>(corrupted[0] ^ 0xff);
-            data = corrupted.data();
-            break;
-        case pka::common::FaultKind::kHang:
-            pka::common::FaultInjector::instance().hang(
-                [] { return false; });
-            break;
-        case pka::common::FaultKind::kThrow:
-            throw pka::common::TaskException(
-                pka::common::ErrorKind::kStoreIo,
-                strfmt("injected signature index write failure for '%s'",
-                       finalPath.c_str()));
-        }
-    }
-
-    uint64_t n = tempCounter_.fetch_add(1, std::memory_order_relaxed);
-    fs::path tmp = fs::path(root_) / "tmp" /
-                   strfmt("%s.%llu.tmp",
-                          fs::path(finalPath).stem().string().c_str(),
-                          static_cast<unsigned long long>(n));
-    {
-        errno = 0;
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (os)
-            os.write(data, static_cast<std::streamsize>(write_len));
-        if (os)
-            os.flush();
-        if (!os) {
-            int err = errno;
-            fs::remove(tmp, ec);
-            return permanentWriteErrno(err) ? WriteAttempt::kDiskFull
-                                            : WriteAttempt::kRetry;
-        }
-    }
-    fs::rename(tmp, finalPath, ec);
-    if (ec) {
-        std::error_condition cond = ec.default_error_condition();
-        int err = cond.category() == std::generic_category() ? cond.value()
-                                                             : 0;
-        fs::remove(tmp, ec);
-        return permanentWriteErrno(err) ? WriteAttempt::kDiskFull
-                                        : WriteAttempt::kRetry;
-    }
-    return WriteAttempt::kOk;
+    dir_.publish(keyHash, encodeSigEntry(updated));
 }
 
 void
@@ -571,57 +415,9 @@ SignatureIndex::insert(const SigEntry &e) const
         trimResidentLocked();
     }
     inserts_.fetch_add(1, std::memory_order_relaxed);
-    persistEntry(e, key_hash);
-}
-
-void
-SignatureIndex::persistEntry(const SigEntry &e, uint64_t keyHash) const
-{
-    if (degraded_.load(std::memory_order_relaxed)) {
-        persistsSkippedDegraded_.fetch_add(1, std::memory_order_relaxed);
-        return; // entry stays resident; the tier is process-local now
-    }
-
-    std::string bytes = encodeSigEntry(e);
-    std::string final_path = entryPath(keyHash);
-    for (unsigned attempt = 0; attempt < KernelResultStore::kIoAttempts;
-         ++attempt) {
-        switch (tryWrite(bytes, final_path, keyHash)) {
-        case WriteAttempt::kOk:
-            return;
-        case WriteAttempt::kDiskFull:
-            insertFailures_.fetch_add(1, std::memory_order_relaxed);
-            markDegraded(strfmt("cannot write '%s': disk full or "
-                                "read-only filesystem",
-                                final_path.c_str()));
-            return;
-        case WriteAttempt::kRetry:
-            break;
-        }
-        if (attempt + 1 < KernelResultStore::kIoAttempts) {
-            ioRetries_.fetch_add(1, std::memory_order_relaxed);
-            backoff(attempt);
-        }
-    }
-    insertFailures_.fetch_add(1, std::memory_order_relaxed);
-    warnRateLimited("sig.write",
-                    strfmt("signature index: cannot write '%s' after %u "
-                           "attempts; entry not persisted",
-                           final_path.c_str(),
-                           KernelResultStore::kIoAttempts));
-}
-
-void
-SignatureIndex::markDegraded(const std::string &why) const
-{
-    bool expected = false;
-    if (!degraded_.compare_exchange_strong(expected, true,
-                                           std::memory_order_relaxed))
-        return;
-    warn(strfmt("signature index '%s': %s; tier degrades to "
-                "process-local (resident entries keep serving, nothing "
-                "new is persisted)",
-                root_.c_str(), why.c_str()));
+    // A failed or skipped publish keeps the entry resident: the tier
+    // then serves process-locally, it never fails a campaign.
+    dir_.publish(key_hash, encodeSigEntry(e));
 }
 
 void
@@ -672,12 +468,12 @@ SignatureIndex::stats() const
     s.probes = probes_.load(std::memory_order_relaxed);
     s.probeHits = probeHits_.load(std::memory_order_relaxed);
     s.inserts = inserts_.load(std::memory_order_relaxed);
-    s.insertFailures = insertFailures_.load(std::memory_order_relaxed);
-    s.ioRetries = ioRetries_.load(std::memory_order_relaxed);
-    s.orphansSwept = orphansSwept_.load(std::memory_order_relaxed);
-    s.degraded = degraded_.load(std::memory_order_relaxed) ? 1 : 0;
-    s.persistsSkippedDegraded =
-        persistsSkippedDegraded_.load(std::memory_order_relaxed);
+    DurableDirStats w = dir_.stats();
+    s.insertFailures = w.failures;
+    s.ioRetries = w.ioRetries;
+    s.orphansSwept = w.orphansSwept;
+    s.degraded = w.degraded;
+    s.persistsSkippedDegraded = w.skippedDegraded;
     s.residentEvicted = residentEvicted_.load(std::memory_order_relaxed);
     s.auditsRecorded = auditsRecorded_.load(std::memory_order_relaxed);
     s.auditViolations = auditViolations_.load(std::memory_order_relaxed);

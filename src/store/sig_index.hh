@@ -25,17 +25,17 @@
  * e^d - 1 — that bound is the error model the engine tags projected
  * results with.
  *
- * On disk the index mirrors the exact store's layout and guarantees:
+ * On disk the index is a DurableDir (durable_dir.hh), like the exact
+ * store's objects tree:
  *
  *   <root>/<hh>/<hash16>.pks  — one fixed-size entry per indexed kernel,
  *                               named by the exact-cache key hash
- *   <root>/tmp/               — staging for atomic write-then-rename
  *
  * Entries are CRC-32-guarded and carry a full KernelSimKey echo; a
  * corrupt or truncated entry is warned about, counted, and skipped at
- * load — never served. Writes go through the same fault-injection
- * sites ("store.read"/"store.write") and retry/backoff policy as exact
- * records, and orphaned staging files are swept at open.
+ * load — never served. Writes share the exact store's publish, fault
+ * site, retries and degradation; the load's tree walk sweeps orphaned
+ * staging files.
  */
 
 #ifndef PKA_STORE_SIG_INDEX_HH
@@ -51,10 +51,13 @@
 
 #include "silicon/profiler.hh"
 #include "sim/engine.hh"
-#include "store/file_store.hh" // WriteAttempt
+#include "store/durable_dir.hh"
 
 namespace pka::store
 {
+
+/** File extension of a persisted index entry. */
+inline constexpr const char *kSigEntryExt = ".pks";
 
 /** Signature dimensionality (= the Table-2 counter count). */
 constexpr size_t kSigDims = silicon::KernelMetrics::kCount;
@@ -178,7 +181,7 @@ struct SigIndexStatsSnapshot
     uint64_t inserts = 0;        ///< entries added (and persisted)
     uint64_t insertFailures = 0; ///< persists that failed every attempt
     uint64_t ioRetries = 0;      ///< transient I/O failures retried
-    uint64_t orphansSwept = 0;   ///< stale tmp files removed at open
+    uint64_t orphansSwept = 0;   ///< staging debris removed at open
 
     /** 1 after a permanent write failure (ENOSPC / read-only fs): the
      *  tier keeps serving resident entries but stops persisting. */
@@ -219,7 +222,7 @@ class SignatureIndex
   public:
     /**
      * Open (creating directories as needed) an index rooted at `root`,
-     * sweeping orphaned staging files and loading every valid entry;
+     * loading every valid entry and sweeping staging debris on the way;
      * corrupt entries are warned, counted and skipped. Throws
      * common::TaskException(kStoreIo) when the root cannot be created.
      */
@@ -229,7 +232,7 @@ class SignatureIndex
     SignatureIndex &operator=(const SignatureIndex &) = delete;
 
     /** The index root directory. */
-    const std::string &root() const { return root_; }
+    const std::string &root() const { return dir_.root(); }
 
     /**
      * Find the nearest stored entry within `tolerance` signature
@@ -291,17 +294,6 @@ class SignatureIndex
         sizeof(SigEntry) + sizeof(uint64_t);
 
   private:
-    std::string entryPath(uint64_t keyHash) const;
-    WriteAttempt tryWrite(const std::string &bytes,
-                          const std::string &finalPath,
-                          uint64_t keyHash) const;
-    void sweepOrphans();
-    void loadEntries();
-
-    /** Encode + atomically persist one entry (bounded retries);
-     *  respects the degraded flag. */
-    void persistEntry(const SigEntry &e, uint64_t keyHash) const;
-
     /** Per-signature-cell adaptive tolerance state. */
     struct GovernorState
     {
@@ -313,28 +305,19 @@ class SignatureIndex
      *  bad entry tightens its whole local similarity pocket). */
     static uint64_t neighborhoodKey(const KernelSignature &sig);
 
-    /** Flip into non-persisting mode (idempotent, warns once). */
-    void markDegraded(const std::string &why) const;
-
     /** Drop oldest resident entries while over budget (m_ held). */
     void trimResidentLocked() const;
 
-    std::string root_;
+    DurableDir dir_;
     mutable std::mutex m_;
     mutable std::vector<SigEntry> entries_;
     mutable std::vector<uint64_t> entryKeyHashes_; // parallel to entries_
-    mutable std::atomic<uint64_t> tempCounter_{0};
 
     mutable std::atomic<uint64_t> loaded_{0};
     mutable std::atomic<uint64_t> corruptSkipped_{0};
     mutable std::atomic<uint64_t> probes_{0};
     mutable std::atomic<uint64_t> probeHits_{0};
     mutable std::atomic<uint64_t> inserts_{0};
-    mutable std::atomic<uint64_t> insertFailures_{0};
-    mutable std::atomic<uint64_t> ioRetries_{0};
-    mutable std::atomic<uint64_t> orphansSwept_{0};
-    mutable std::atomic<bool> degraded_{false};
-    mutable std::atomic<uint64_t> persistsSkippedDegraded_{0};
     mutable std::atomic<uint64_t> residentEvicted_{0};
     mutable std::atomic<uint64_t> residentBudgetBytes_{0};
 

@@ -26,7 +26,7 @@ struct StoreStatsSnapshot
     uint64_t putFailures = 0;    ///< writes that failed (warned, not fatal)
     uint64_t ioRetries = 0;      ///< transient I/O failures retried
     uint64_t retryExhausted = 0; ///< operations that failed every attempt
-    uint64_t orphansSwept = 0;   ///< stale tmp files removed at open
+    uint64_t orphansSwept = 0;   ///< staging debris removed
     uint64_t bytesRead = 0;
     uint64_t bytesWritten = 0;
 
@@ -48,7 +48,8 @@ struct StoreStatsSnapshot
     }
 };
 
-/** Atomic counters shared by every thread probing one store. */
+/** Atomic counters shared by every thread probing one store. Publish
+ *  failures, sweeps and degradation are counted by its DurableDir. */
 struct StoreStats
 {
     std::atomic<uint64_t> hits{0};
@@ -56,14 +57,10 @@ struct StoreStats
     std::atomic<uint64_t> corruptSkipped{0};
     std::atomic<uint64_t> keyMismatches{0};
     std::atomic<uint64_t> puts{0};
-    std::atomic<uint64_t> putFailures{0};
     std::atomic<uint64_t> ioRetries{0};
     std::atomic<uint64_t> retryExhausted{0};
-    std::atomic<uint64_t> orphansSwept{0};
     std::atomic<uint64_t> bytesRead{0};
     std::atomic<uint64_t> bytesWritten{0};
-    std::atomic<uint64_t> degraded{0};
-    std::atomic<uint64_t> putsSkippedDegraded{0};
     std::atomic<uint64_t> evictedRecords{0};
     std::atomic<uint64_t> evictedBytes{0};
 
@@ -75,15 +72,10 @@ struct StoreStats
         s.corruptSkipped = corruptSkipped.load(std::memory_order_relaxed);
         s.keyMismatches = keyMismatches.load(std::memory_order_relaxed);
         s.puts = puts.load(std::memory_order_relaxed);
-        s.putFailures = putFailures.load(std::memory_order_relaxed);
         s.ioRetries = ioRetries.load(std::memory_order_relaxed);
         s.retryExhausted = retryExhausted.load(std::memory_order_relaxed);
-        s.orphansSwept = orphansSwept.load(std::memory_order_relaxed);
         s.bytesRead = bytesRead.load(std::memory_order_relaxed);
         s.bytesWritten = bytesWritten.load(std::memory_order_relaxed);
-        s.degraded = degraded.load(std::memory_order_relaxed);
-        s.putsSkippedDegraded =
-            putsSkippedDegraded.load(std::memory_order_relaxed);
         s.evictedRecords = evictedRecords.load(std::memory_order_relaxed);
         s.evictedBytes = evictedBytes.load(std::memory_order_relaxed);
         return s;

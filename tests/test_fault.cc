@@ -424,8 +424,7 @@ TEST_F(StoreRetryTest, ExhaustedReadRetriesDegradeToMiss)
     EXPECT_EQ(store.get(key, &out), pka::store::Lookup::kMiss);
     auto s = store.stats();
     EXPECT_EQ(s.retryExhausted, 1u);
-    EXPECT_EQ(s.ioRetries,
-              pka::store::KernelResultStore::kIoAttempts - 1);
+    EXPECT_EQ(s.ioRetries, pka::store::DurableDir::kIoAttempts - 1);
 }
 
 TEST_F(StoreRetryTest, ExhaustedWriteRetriesCountPutFailure)
@@ -475,16 +474,22 @@ TEST_F(StoreRetryTest, TornAndCorruptRecordsAreRejectedNeverServed)
     EXPECT_GE(store.stats().corruptSkipped, 2u);
 }
 
-TEST(StoreRetry, OrphanedStagingFilesAreSweptOnOpen)
+TEST(StoreRetry, OrphanedStagingFilesAreSweptOnFirstPublish)
 {
     TempDir dir;
-    { pka::store::KernelResultStore create(dir.str()); }
-    std::ofstream(dir.path() / "tmp" / "deadbeef.7.tmp") << "debris";
-    std::ofstream(dir.path() / "tmp" / "cafe.tmp") << "more";
-
     pka::store::KernelResultStore store(dir.str());
+    KernelSimKey key = sampleKey();
+    fs::path shard =
+        dir.path() / "objects" /
+        pka::store::hex16(kernelSimKeyHash(key)).substr(0, 2);
+    fs::create_directories(shard);
+    std::ofstream(shard / "deadbeef.7.tmp") << "debris";
+    std::ofstream(shard / "cafe.tmp") << "more";
+
+    EXPECT_EQ(store.stats().orphansSwept, 0u); // opening scans nothing
+    store.put(key, sampleResult());
     EXPECT_EQ(store.stats().orphansSwept, 2u);
-    EXPECT_FALSE(fs::exists(dir.path() / "tmp" / "cafe.tmp"));
+    EXPECT_FALSE(fs::exists(shard / "cafe.tmp"));
 }
 
 // ---------------------------------------------------------------------

@@ -380,8 +380,12 @@ TEST(Fsck, SweepsStagingOrphansAndTruncatesTornJournalTail)
     KernelResultStore store(dir.str());
     store.put(sampleKey(), sampleResult());
 
-    // A killed writer's staging debris.
-    { std::ofstream(dir.path() / "tmp" / "orphan-123.tmp") << "half"; }
+    // A killed writer's staging debris, in a shard nothing publishes to.
+    fs::create_directories(dir.path() / "objects" / "ab");
+    {
+        std::ofstream(dir.path() / "objects" / "ab" / "orphan-123.tmp")
+            << "half";
+    }
 
     // A journal whose tail was torn by a crash mid-append.
     fs::path jdir = dir.path() / "sessions" / "sess";
@@ -413,6 +417,30 @@ TEST(Fsck, SweepsStagingOrphansAndTruncatesTornJournalTail)
     EXPECT_TRUE(resumed.isDone(0));
     EXPECT_TRUE(resumed.isDone(1));
     EXPECT_FALSE(resumed.isDone(2));
+}
+
+TEST(Fsck, SweepsLegacyStagingAreasOfOlderCaches)
+{
+    TempDir dir;
+    KernelResultStore store(dir.str(), /*similarity=*/true);
+    store.put(sampleKey(), sampleResult());
+    // Caches written before staging moved into the shards kept it in
+    // <root>/tmp/ and <root>/sig/tmp/.
+    fs::create_directories(dir.path() / "tmp");
+    fs::create_directories(dir.path() / "sig" / "tmp");
+    { std::ofstream(dir.path() / "tmp" / "0123.7.tmp") << "half"; }
+    { std::ofstream(dir.path() / "sig" / "tmp" / "4567.8.tmp") << "half"; }
+
+    FsckReport scan = fsckStore(dir.str(), {});
+    EXPECT_EQ(scan.tmpOrphans, 2u);
+    EXPECT_EQ(scan.recordsValid, 1u);
+
+    FsckOptions repair;
+    repair.repair = true;
+    EXPECT_EQ(fsckStore(dir.str(), repair).tmpOrphans, 2u);
+    EXPECT_FALSE(fs::exists(dir.path() / "tmp" / "0123.7.tmp"));
+    EXPECT_FALSE(fs::exists(dir.path() / "sig" / "tmp" / "4567.8.tmp"));
+    EXPECT_TRUE(fsckStore(dir.str(), {}).clean());
 }
 
 TEST(Fsck, JournalWithDestroyedHeaderIsQuarantined)
@@ -551,7 +579,6 @@ TEST(CacheDirResilience, ReadOnlyCacheDirDegradesToComputeThrough)
     TempDir dir;
     KernelResultStore store(dir.str());
     ::chmod((dir.path() / "objects").string().c_str(), 0555);
-    ::chmod((dir.path() / "tmp").string().c_str(), 0555);
     ::chmod(dir.str().c_str(), 0555);
 
     SimEngine engine(storeOpts(&store));
@@ -563,7 +590,6 @@ TEST(CacheDirResilience, ReadOnlyCacheDirDegradesToComputeThrough)
 
     ::chmod(dir.str().c_str(), 0755); // let TempDir clean up
     ::chmod((dir.path() / "objects").string().c_str(), 0755);
-    ::chmod((dir.path() / "tmp").string().c_str(), 0755);
 }
 
 TEST(CacheDirResilience, CacheDirVanishingMidCampaignIsBitIdentical)

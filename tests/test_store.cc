@@ -19,6 +19,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiments.hh"
@@ -27,7 +28,9 @@
 #include "sim/engine.hh"
 #include "sim/simulator.hh"
 #include "store/crc32.hh"
+#include "store/durable_dir.hh"
 #include "store/file_store.hh"
+#include "store/fsck.hh"
 #include "store/journal.hh"
 #include "store/record.hh"
 #include "workload/builder.hh"
@@ -175,6 +178,17 @@ recordFiles(const fs::path &root)
     return out;
 }
 
+/** Every staging (.tmp) file anywhere under `root`. */
+std::vector<fs::path>
+stagingFiles(const fs::path &root)
+{
+    std::vector<fs::path> out;
+    for (const auto &e : fs::recursive_directory_iterator(root))
+        if (e.is_regular_file() && e.path().extension() == ".tmp")
+            out.push_back(e.path());
+    return out;
+}
+
 } // namespace
 
 TEST(Crc32, KnownVectorAndIncrementalUpdate)
@@ -269,8 +283,9 @@ TEST(FileStore, PutThenGetHitsAndMissesAreCounted)
     EXPECT_EQ(s.putFailures, 0u);
     EXPECT_EQ(s.bytesWritten, kRecordSize);
 
-    // The staging area never leaks temp files.
-    EXPECT_TRUE(fs::is_empty(dir.path() / "tmp"));
+    // Staging never leaks temp files, and there is no shared tmp/ area.
+    EXPECT_TRUE(stagingFiles(dir.path()).empty());
+    EXPECT_FALSE(fs::exists(dir.path() / "tmp"));
 }
 
 TEST(FileStore, CorruptRecordIsSkippedAndRecoverable)
@@ -395,6 +410,97 @@ TEST(FileStore, CorruptRecordFallsBackToSimulationBitIdentically)
         pka::core::fullSimulate(engine2, simulator, w);
     EXPECT_EQ(again.storeHits, w.launches.size());
     EXPECT_EQ(again.cycles, cold.cycles);
+}
+
+TEST(DurableDir, ColdCampaignLeavesNoStagingFilesAndNoTmpArea)
+{
+    TempDir dir;
+    GpuSimulator simulator(voltaV100());
+    Workload w = distinctWorkload(24);
+    {
+        KernelResultStore store(dir.str(), /*similarity=*/true);
+        SimEngine engine(storeOpts(&store, 4));
+        pka::core::fullSimulate(engine, simulator, w);
+        EXPECT_EQ(store.recordCount(), w.launches.size());
+        EXPECT_EQ(store.stats().putFailures, 0u);
+    }
+    EXPECT_TRUE(stagingFiles(dir.path()).empty());
+    EXPECT_FALSE(fs::exists(dir.path() / "tmp"));
+    EXPECT_FALSE(fs::exists(dir.path() / "sig" / "tmp"));
+}
+
+TEST(DurableDir, ConcurrentPublishesIntoOneShardAllLand)
+{
+    TempDir dir;
+    DurableDir d((dir.path() / "files").string(), ".bin", "test dir");
+    // Debris from killed writers of other processes in the shard every
+    // publish below targets.
+    fs::path shard = dir.path() / "files" / "ab";
+    fs::create_directories(shard);
+    std::ofstream(shard / "ab00000000000001.1.0.tmp") << "x";
+    std::ofstream(shard / "junk.tmp") << "y";
+
+    // Four writers race over one shard; each key is written by every
+    // writer (identical bytes, last rename wins).
+    constexpr uint64_t kKeys = 48;
+    auto bytesOf = [](uint64_t h) { return "payload-" + hex16(h); };
+    std::vector<std::thread> writers;
+    for (int t = 0; t < 4; ++t)
+        writers.emplace_back([&] {
+            for (uint64_t i = 0; i < kKeys; ++i) {
+                uint64_t h = (0xabULL << 56) | i;
+                EXPECT_TRUE(d.publish(h, bytesOf(h)));
+            }
+        });
+    for (auto &t : writers)
+        t.join();
+
+    for (uint64_t i = 0; i < kKeys; ++i) {
+        uint64_t h = (0xabULL << 56) | i;
+        std::string got;
+        ASSERT_TRUE(readFile(d.path(h), &got));
+        EXPECT_EQ(got, bytesOf(h));
+    }
+    DurableDirStats s = d.stats();
+    EXPECT_EQ(s.orphansSwept, 2u);
+    EXPECT_EQ(s.failures, 0u);
+    EXPECT_EQ(s.ioRetries, 0u);
+    EXPECT_TRUE(stagingFiles(dir.path()).empty());
+}
+
+TEST(DurableDir, FirstPublishSweepsItsShardOnceAndFsckTheRest)
+{
+    TempDir dir;
+    KernelResultStore store(dir.str());
+    KernelSimKey key = sampleKey(1);
+    fs::path mine = dir.path() / "objects" /
+                    hex16(kernelSimKeyHash(key)).substr(0, 2);
+    fs::path other = dir.path() / "objects" /
+                     (mine.filename() == "00" ? "01" : "00");
+    fs::create_directories(mine);
+    fs::create_directories(other);
+    std::ofstream(mine / "dead.1.tmp") << "debris";
+    std::ofstream(other / "dead.2.tmp") << "debris";
+
+    store.put(key, sampleResult());
+    EXPECT_EQ(store.stats().orphansSwept, 1u);
+    EXPECT_FALSE(fs::exists(mine / "dead.1.tmp"));
+    // Nothing publishes into the other shard, so its debris stays.
+    EXPECT_TRUE(fs::exists(other / "dead.2.tmp"));
+
+    // The shard is swept once per process: debris appearing later stays
+    // until the next process (or fsck) sweeps it.
+    std::ofstream(mine / "dead.3.tmp") << "debris";
+    store.put(key, sampleResult());
+    EXPECT_EQ(store.stats().orphansSwept, 1u);
+    EXPECT_TRUE(fs::exists(mine / "dead.3.tmp"));
+
+    EXPECT_EQ(fsckStore(dir.str(), {}).tmpOrphans, 2u);
+    FsckOptions repair;
+    repair.repair = true;
+    EXPECT_EQ(fsckStore(dir.str(), repair).tmpOrphans, 2u);
+    EXPECT_TRUE(stagingFiles(dir.path()).empty());
+    EXPECT_TRUE(fsckStore(dir.str(), {}).clean());
 }
 
 TEST(CampaignJournal, RoundTripAndResume)

@@ -336,13 +336,14 @@ TEST(SimilarityIndex, PersistsAcrossReopenAndSweepsOrphans)
     }
 
     // Debris a killed writer would leave behind.
-    std::ofstream(dir.path() / "tmp" / "dead.123.tmp") << "junk";
+    fs::create_directories(dir.path() / "ab");
+    std::ofstream(dir.path() / "ab" / "dead.123.tmp") << "junk";
 
     SignatureIndex reopened(dir.str());
     EXPECT_EQ(reopened.size(), 1u);
     EXPECT_EQ(reopened.stats().loaded, 1u);
     EXPECT_EQ(reopened.stats().orphansSwept, 1u);
-    EXPECT_FALSE(fs::exists(dir.path() / "tmp" / "dead.123.tmp"));
+    EXPECT_FALSE(fs::exists(dir.path() / "ab" / "dead.123.tmp"));
 
     KernelSignature sig;
     sig.q[0] = 5;
@@ -684,6 +685,31 @@ TEST_F(StoreRetrySimilarity, ReadFaultAtLoadSkipsEntry)
     SignatureIndex reopened(dir.str());
     EXPECT_EQ(reopened.size() + reopened.stats().corruptSkipped, 2u);
     EXPECT_LE(reopened.size(), 2u);
+}
+
+TEST(DurableDir, SigShardReplacedByFileDegradesOnceWithoutRetry)
+{
+    TempDir dir;
+    KernelResultStore store(dir.str(), /*similarity=*/true);
+    const SignatureIndex *idx = store.similarity();
+    ASSERT_NE(idx, nullptr);
+
+    // A path component replaced by a file (ENOTDIR) is permanent: the
+    // tier degrades on the first insert instead of retrying every one.
+    SigEntry e = xEntry(21, 3);
+    fs::path shard = dir.path() / "sig" /
+                     hex16(kernelSimKeyHash(e.key)).substr(0, 2);
+    { std::ofstream(shard) << "not a directory"; }
+
+    idx->insert(e);
+    SigIndexStatsSnapshot s = idx->stats();
+    EXPECT_EQ(s.degraded, 1u);
+    EXPECT_EQ(s.ioRetries, 0u);
+    EXPECT_EQ(s.insertFailures, 1u);
+
+    idx->insert(xEntry(22, 4));
+    EXPECT_EQ(idx->stats().persistsSkippedDegraded, 1u);
+    EXPECT_EQ(idx->size(), 2u); // both stay resident (process-local)
 }
 
 TEST(SimilarityTier, DisabledTierIsBitIdentical)

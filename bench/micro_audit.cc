@@ -302,11 +302,11 @@ main(int argc, char **argv)
             run.certifiedError,
             static_cast<unsigned long long>(run.projectedLaunches),
             fleet.launches.size(),
-            static_cast<unsigned long long>(run.failedLaunches));
+            static_cast<unsigned long long>(run.failures.size()));
 
         // The typed accuracy outcome: tripped, complete, tail simulated.
         gate(run.accuracyDegraded, "budget never tripped");
-        gate(run.failedLaunches == 0, "simulate-through lost launches");
+        gate(run.failures.empty(), "simulate-through lost launches");
         gate(run.perKernel.size() == fleet.launches.size(),
              "campaign did not complete");
         gate(run.projectedLaunches < fleet.launches.size() / 2,

@@ -62,7 +62,7 @@ runCampaign(const std::vector<workload::Workload> &apps,
         core::FullSimResult fs = core::fullSimulate(engine, simulator, w);
         run.wallSeconds += fs.wallSeconds;
         run.cpuSeconds += fs.cpuSeconds;
-        run.faulted += fs.failedLaunches + fs.quarantinedKernels;
+        run.faulted += fs.failures.size() + fs.quarantinedKernels;
         run.agg.cycles += fs.cycles;
         run.agg.threadInsts += fs.threadInsts;
         run.agg.dramUtilPct += fs.dramUtilPct;
@@ -163,8 +163,8 @@ main()
 
     // Clean-path smoke for the fault-tolerance machinery: with no fault
     // injection armed, nothing may retry, fail or be quarantined.
-    uint64_t faulted = on.failedLaunches + on.quarantinedKernels +
-                       off.failedLaunches + off.quarantinedKernels;
+    uint64_t faulted = on.failures.size() + on.quarantinedKernels +
+                       off.failures.size() + off.quarantinedKernels;
     for (const auto &r : runs)
         faulted += r.faulted;
     std::printf("  },\n");

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "core/pka.hh"
 #include "ml/hierarchical.hh"
 #include "ml/scaler.hh"
 #include "sim/fnv.hh"
-#include "store/journal.hh"
 
 namespace pka::core
 {
@@ -214,7 +211,8 @@ SingleIterationResult
 singleIterationBaseline(const sim::SimEngine &engine,
                         const sim::GpuSimulator &simulator,
                         const Workload &w,
-                        const CampaignCheckpoint *checkpoint)
+                        const CampaignCheckpoint *checkpoint,
+                        const CampaignPolicy *policy)
 {
     SingleIterationResult res;
     std::vector<std::string> names;
@@ -235,24 +233,22 @@ singleIterationBaseline(const sim::SimEngine &engine,
         jobs[i].workloadSeed = w.seed;
     }
 
-    std::unique_ptr<store::CampaignJournal> journal;
-    if (checkpoint && !checkpoint->dir.empty()) {
-        // The detected period is part of the campaign's identity: a
-        // journal recorded against a different period (e.g. after a
-        // generator change) must never resume.
+    // The detected period is part of the campaign's identity: a
+    // journal recorded against a different period (e.g. after a
+    // generator change) must never resume.
+    auto identity = [&] {
         sim::Fnv f;
         f.u64(campaignKey(simulator, w, engine, "single-iter"));
         f.u64(period);
-        journal = std::make_unique<store::CampaignJournal>(
-            journalPath(checkpoint->dir, "single-iter", f.h), f.h,
-            jobs.size(), checkpoint->resume);
-    }
-
-    for (const auto &r :
-         runJobsCheckpointed(engine, simulator, jobs, nullptr,
-                             journal.get(),
-                             checkpoint ? checkpoint->chunkLaunches : 0))
-        res.simulatedCycles += static_cast<double>(r.cycles);
+        return f.h;
+    };
+    CampaignRunOutcome run = runCampaign(engine, simulator, jobs,
+                                         "single-iter", identity,
+                                         checkpoint, policy, res);
+    for (size_t i = 0; i < period; ++i)
+        if (run.completed[i])
+            res.simulatedCycles +=
+                static_cast<double>(run.results[i].cycles);
     res.projectedAppCycles = res.simulatedCycles * res.iterations;
     return res;
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "core/pka.hh"
 #include "core/pks.hh"
 #include "sim/engine.hh"
 #include "sim/simulator.hh"
@@ -27,8 +28,6 @@
 
 namespace pka::core
 {
-
-struct CampaignCheckpoint;
 
 /** Outcome common to the app-level baselines. */
 struct BaselineResult
@@ -128,8 +127,9 @@ TBPointResult tbpointSelect(const std::vector<TBPointKernelStats> &stats,
  */
 size_t detectIterationPeriod(const std::vector<std::string> &names);
 
-/** Single-iteration scaling result. */
-struct SingleIterationResult
+/** Single-iteration scaling result; the report covers the iteration
+ *  campaign (empty when no period was found). */
+struct SingleIterationResult : CampaignReport
 {
     bool applicable = false;     ///< a launch period was found
     size_t periodLaunches = 0;   ///< launches per iteration
@@ -141,14 +141,17 @@ struct SingleIterationResult
 /**
  * NVArchSim-style single-iteration scaling: simulate one iteration's
  * launches fully (fanned out across the engine) and multiply by the
- * iteration count. With `checkpoint`, the iteration campaign journals
- * per-launch completion and can resume (see core/pka.hh).
+ * iteration count. The iteration is one runCampaign campaign (stage
+ * "single-iter"): `checkpoint` journals it and resumes an interrupted
+ * run; `policy` == nullptr is the strict contract, non-null records
+ * failed launches (they add no cycles) in the report.
  */
 SingleIterationResult
 singleIterationBaseline(const sim::SimEngine &engine,
                         const sim::GpuSimulator &simulator,
                         const pka::workload::Workload &w,
-                        const CampaignCheckpoint *checkpoint = nullptr);
+                        const CampaignCheckpoint *checkpoint = nullptr,
+                        const CampaignPolicy *policy = nullptr);
 
 /** singleIterationBaseline on the process-wide shared engine. */
 SingleIterationResult

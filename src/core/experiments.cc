@@ -1,10 +1,7 @@
 #include "core/experiments.hh"
 
-#include <memory>
-
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "store/journal.hh"
 
 namespace pka::core
 {
@@ -38,21 +35,6 @@ buildAllPairs(const GenOptions &g)
 
 FullSimResult
 fullSimulate(const sim::SimEngine &engine,
-             const sim::GpuSimulator &simulator, const Workload &w)
-{
-    return fullSimulate(engine, simulator, w, nullptr);
-}
-
-FullSimResult
-fullSimulate(const sim::SimEngine &engine,
-             const sim::GpuSimulator &simulator, const Workload &w,
-             const CampaignCheckpoint *checkpoint)
-{
-    return fullSimulate(engine, simulator, w, checkpoint, nullptr);
-}
-
-FullSimResult
-fullSimulate(const sim::SimEngine &engine,
              const sim::GpuSimulator &simulator, const Workload &w,
              const CampaignCheckpoint *checkpoint,
              const CampaignPolicy *policy)
@@ -65,24 +47,10 @@ fullSimulate(const sim::SimEngine &engine,
         jobs[i].workloadSeed = w.seed;
     }
 
-    std::unique_ptr<store::CampaignJournal> journal;
-    if (checkpoint && !checkpoint->dir.empty()) {
-        uint64_t key = campaignKey(simulator, w, engine, "fullsim");
-        journal = std::make_unique<store::CampaignJournal>(
-            journalPath(checkpoint->dir, "fullsim", key), key,
-            jobs.size(), checkpoint->resume);
-        out.resumedLaunches = journal->resumedCount();
-    }
-
-    sim::EngineStats stats;
-    CampaignRunOutcome run = runJobsCheckpointedChecked(
-        engine, simulator, jobs, policy ? *policy : CampaignPolicy{},
-        &stats, journal.get(), checkpoint ? checkpoint->chunkLaunches : 0);
-    if (!policy && !run.failures.empty())
-        // Strict legacy contract: without an explicit policy a failed
-        // launch is fatal, exactly like engine.run().
-        pka::common::fatal("simulation failed: " +
-                           run.failures.front().error.str());
+    CampaignRunOutcome run = runCampaign(
+        engine, simulator, jobs, "fullsim",
+        [&] { return campaignKey(simulator, w, engine, "fullsim"); },
+        checkpoint, policy, out);
 
     // Reduce in launch order — bit-identical for any thread count.
     // Failed launches drop out; totals are reweighted afterwards.
@@ -121,21 +89,6 @@ fullSimulate(const sim::SimEngine &engine,
         out.cycles *= scale;
         out.threadInsts *= scale;
     }
-    out.wallSeconds = stats.wallSeconds;
-    out.cpuSeconds = stats.cpuSeconds;
-    out.cacheHits = stats.cacheHits;
-    out.storeHits = stats.storeHits;
-    out.cacheMisses = stats.cacheMisses;
-    out.corruptSkipped = stats.corruptSkipped;
-    out.simTierHits = stats.simTierHits;
-    out.projectedLaunches = stats.projectedLaunches;
-    out.projErrBound = stats.projErrBound;
-    out.failedLaunches = run.failures.size();
-    out.quarantinedKernels = stats.quarantinedKernels;
-    out.quorumMet = run.quorumMet;
-    out.accuracyDegraded = run.accuracyDegraded;
-    out.certifiedError = run.certifiedError;
-    out.failures = std::move(run.failures);
     return out;
 }
 
@@ -176,7 +129,12 @@ evaluateApp(const WorkloadPair &pair, const silicon::SiliconGpu &gpu,
         ev.siliconCycles > 0 ? sil_insts / ev.siliconCycles : 0.0;
 
     // PKA (selection happens on the profiled variant).
-    ev.pka = runPka(eng, w, pair.profiled, gpu, simulator, options.pka);
+    common::Expected<PkaAppResult> checked = runPkaChecked(
+        eng, w, pair.profiled, gpu.run(pair.profiled), gpu, simulator,
+        options.pka);
+    if (!checked.ok())
+        common::fatal(checked.error().str());
+    ev.pka = std::move(checked.value());
     if (ev.pka.excluded) {
         ev.excluded = true;
         ev.exclusionReason = ev.pka.exclusionReason;

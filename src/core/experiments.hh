@@ -53,58 +53,18 @@ struct WorkloadPair
 /** Build traced+profiled variants for every registry workload. */
 std::vector<WorkloadPair> buildAllPairs(const pka::workload::GenOptions &g = {});
 
-/** Full-simulation outcome for a whole app. */
-struct FullSimResult
+/**
+ * Full-simulation outcome for a whole app. When launches fail under a
+ * CampaignPolicy, cycle/instruction totals are reweighted by the
+ * completed-launch fraction so they still estimate the whole app;
+ * perKernel then holds only completed launches (consumers key on
+ * TBPointKernelStats::launchId, not position).
+ */
+struct FullSimResult : CampaignReport
 {
     double cycles = 0.0;
     double threadInsts = 0.0;
     double dramUtilPct = 0.0; ///< cycle-weighted average
-    double wallSeconds = 0.0;
-
-    /**
-     * Summed per-kernel simulation time (serial-equivalent cost). Under
-     * a parallel engine wallSeconds shrinks while this stays put, which
-     * keeps speedup-vs-serial figures (fig06/fig07 axes) comparable.
-     */
-    double cpuSeconds = 0.0;
-    uint64_t cacheHits = 0;   ///< launches answered from the memory cache
-    uint64_t storeHits = 0;   ///< launches answered from the disk store
-    uint64_t cacheMisses = 0; ///< launches actually simulated
-    uint64_t corruptSkipped = 0;  ///< corrupt store records skipped
-    uint64_t resumedLaunches = 0; ///< journaled complete before this run
-
-    // Similarity-tier provenance (all zero with the tier off — the
-    // default — so existing reports are untouched). projectedLaunches
-    // counts every launch whose result carries a projection tag;
-    // projErrBound is the worst estimated relative error among them.
-    uint64_t simTierHits = 0;       ///< fresh similarity projections
-    uint64_t projectedLaunches = 0; ///< launches answered by projection
-    double projErrBound = 0.0;      ///< worst-case estimated error
-
-    /** Share of launches answered by projection, in percent. */
-    double projectedPct() const
-    {
-        uint64_t total = cacheHits + storeHits + simTierHits + cacheMisses;
-        return total == 0 ? 0.0
-                          : 100.0 * static_cast<double>(projectedLaunches) /
-                                static_cast<double>(total);
-    }
-
-    // Fault-tolerance accounting (all zero/true on a clean run). When
-    // launches fail under a CampaignPolicy, cycle/instruction totals are
-    // reweighted by completed-launch fraction so they still estimate the
-    // whole app; perKernel then contains only completed launches
-    // (consumers key on TBPointKernelStats::launchId, not position).
-    uint64_t failedLaunches = 0;     ///< launches that ended in error
-    uint64_t quarantinedKernels = 0; ///< distinct kernels quarantined
-    bool quorumMet = true;           ///< campaign met its quorum policy
-    std::vector<sim::LaunchFailure> failures; ///< per-launch detail
-
-    // Accuracy-SLO accounting (CampaignPolicy::errorBudget): the budget
-    // tripped mid-campaign and the tail ran simulate-through. The run
-    // is complete but the CLI exits with the typed accuracy code (8).
-    bool accuracyDegraded = false;
-    double certifiedError = 0.0; ///< final mean certified error
 
     std::vector<TBPointKernelStats> perKernel;
 
@@ -117,36 +77,18 @@ struct FullSimResult
 /**
  * Simulate every launch of `w` to completion across `engine`, collecting
  * per-kernel stats (TBPoint's required input) and reducing in launch
- * order — aggregates are bit-identical for any thread count.
- */
-FullSimResult fullSimulate(const sim::SimEngine &engine,
-                           const sim::GpuSimulator &simulator,
-                           const pka::workload::Workload &w);
-
-/**
- * fullSimulate with journaled checkpointing: launch completion is
- * recorded in `checkpoint->dir` after every chunk, and with
- * checkpoint->resume an interrupted campaign restarts from the last
- * completed launch (completed results return from the engine's
- * persistent store) with bit-identical aggregates.
+ * order — aggregates are bit-identical for any thread count. The
+ * campaign runs through runCampaign: `checkpoint` journals it (stage
+ * "fullsim") and resumes an interrupted run with bit-identical
+ * aggregates; `policy` == nullptr is the strict contract (any failed
+ * launch is fatal), non-null drops failed launches from the reweighted
+ * aggregates and reports them.
  */
 FullSimResult fullSimulate(const sim::SimEngine &engine,
                            const sim::GpuSimulator &simulator,
                            const pka::workload::Workload &w,
-                           const CampaignCheckpoint *checkpoint);
-
-/**
- * fullSimulate under an explicit campaign failure policy: launches that
- * fail after the engine's retry/quarantine machinery are dropped from
- * the aggregates (which are then reweighted — see FullSimResult) instead
- * of fatal, and quorumMet/failures report the damage. policy == nullptr
- * restores the strict contract.
- */
-FullSimResult fullSimulate(const sim::SimEngine &engine,
-                           const sim::GpuSimulator &simulator,
-                           const pka::workload::Workload &w,
-                           const CampaignCheckpoint *checkpoint,
-                           const CampaignPolicy *policy);
+                           const CampaignCheckpoint *checkpoint = nullptr,
+                           const CampaignPolicy *policy = nullptr);
 
 /** fullSimulate on the process-wide shared engine. */
 FullSimResult fullSimulate(const sim::GpuSimulator &simulator,

@@ -178,21 +178,45 @@ runJobsCheckpointedChecked(const sim::SimEngine &engine,
     return out;
 }
 
-std::vector<sim::KernelSimResult>
-runJobsCheckpointed(const sim::SimEngine &engine,
-                    const sim::GpuSimulator &simulator,
-                    const std::vector<sim::SimJob> &jobs,
-                    sim::EngineStats *stats,
-                    store::CampaignJournal *journal,
-                    size_t chunk_launches)
+CampaignRunOutcome
+runCampaign(const sim::SimEngine &engine, const sim::GpuSimulator &simulator,
+            const std::vector<sim::SimJob> &jobs, const std::string &stage,
+            const std::function<uint64_t()> &identityKey,
+            const CampaignCheckpoint *checkpoint,
+            const CampaignPolicy *policy, CampaignReport &report)
 {
-    CampaignRunOutcome out =
-        runJobsCheckpointedChecked(engine, simulator, jobs, CampaignPolicy{},
-                                   stats, journal, chunk_launches);
-    if (!out.failures.empty())
+    std::unique_ptr<store::CampaignJournal> journal;
+    if (checkpoint && !checkpoint->dir.empty()) {
+        uint64_t key = identityKey();
+        journal = std::make_unique<store::CampaignJournal>(
+            journalPath(checkpoint->dir, stage, key), key, jobs.size(),
+            checkpoint->resume);
+        report.resumedLaunches = journal->resumedCount();
+    }
+
+    sim::EngineStats stats;
+    CampaignRunOutcome run = runJobsCheckpointedChecked(
+        engine, simulator, jobs, policy ? *policy : CampaignPolicy{},
+        &stats, journal.get(), checkpoint ? checkpoint->chunkLaunches : 0);
+    if (!policy && !run.failures.empty())
         common::fatal("simulation failed: " +
-                      out.failures.front().error.str());
-    return std::move(out.results);
+                      run.failures.front().error.str());
+
+    report.wallSeconds = stats.wallSeconds;
+    report.cpuSeconds = stats.cpuSeconds;
+    report.cacheHits = stats.cacheHits;
+    report.storeHits = stats.storeHits;
+    report.cacheMisses = stats.cacheMisses;
+    report.corruptSkipped = stats.corruptSkipped;
+    report.simTierHits = stats.simTierHits;
+    report.projectedLaunches = stats.projectedLaunches;
+    report.projErrBound = stats.projErrBound;
+    report.failures = std::move(run.failures);
+    report.quarantinedKernels = stats.quarantinedKernels;
+    report.quorumMet = run.quorumMet;
+    report.accuracyDegraded = run.accuracyDegraded;
+    report.certifiedError = run.certifiedError;
+    return run;
 }
 
 common::Expected<SelectionOutcome>
@@ -316,12 +340,11 @@ simulateSelection(const sim::SimEngine &engine,
         jobs.push_back(std::move(job));
     }
 
-    std::unique_ptr<store::CampaignJournal> journal;
-    if (checkpoint && !checkpoint->dir.empty()) {
-        // The selection (group membership, representatives, stop
-        // policy) is part of the campaign's identity: a journal from a
-        // different selection over the same stream must never resume.
-        const char *stage = pkp ? "pka" : "pks";
+    // The selection (group membership, representatives, stop policy)
+    // is part of the campaign's identity: a journal from a different
+    // selection over the same stream must never resume.
+    const char *stage = pkp ? "pka" : "pks";
+    auto identity = [&] {
         sim::Fnv f;
         f.u64(campaignKey(simulator, w, engine, stage));
         f.u64(pkp ? pkpStopConfigKey(*pkp) : 0);
@@ -329,20 +352,10 @@ simulateSelection(const sim::SimEngine &engine,
             f.u64(g.representative);
             f.f64(g.weight);
         }
-        journal = std::make_unique<store::CampaignJournal>(
-            journalPath(checkpoint->dir, stage, f.h), f.h, jobs.size(),
-            checkpoint->resume);
-    }
-
-    sim::EngineStats stats;
-    CampaignRunOutcome run = runJobsCheckpointedChecked(
-        engine, simulator, jobs, policy ? *policy : CampaignPolicy{},
-        &stats, journal.get(), checkpoint ? checkpoint->chunkLaunches : 0);
-    if (!policy && !run.failures.empty())
-        // Strict legacy contract: without an explicit policy, a failed
-        // representative is fatal, exactly like engine.run().
-        common::fatal("simulation failed: " +
-                      run.failures.front().error.str());
+        return f.h;
+    };
+    CampaignRunOutcome run = runCampaign(engine, simulator, jobs, stage,
+                                         identity, checkpoint, policy, out);
 
     // Reduce in group order — bit-identical for any thread count.
     // Failed representatives drop out of the sums; surviving weight is
@@ -374,21 +387,6 @@ simulateSelection(const sim::SimEngine &engine,
         out.projectedCycles *= scale;
         out.projectedThreadInsts *= scale;
     }
-    out.simulatedWallSeconds = stats.wallSeconds;
-    out.simulatedCpuSeconds = stats.cpuSeconds;
-    out.cacheHits = stats.cacheHits;
-    out.storeHits = stats.storeHits;
-    out.cacheMisses = stats.cacheMisses;
-    out.corruptSkipped = stats.corruptSkipped;
-    out.simTierHits = stats.simTierHits;
-    out.projectedLaunches = stats.projectedLaunches;
-    out.projErrBound = stats.projErrBound;
-    out.failedLaunches = run.failures.size();
-    out.quarantinedKernels = stats.quarantinedKernels;
-    out.quorumMet = run.quorumMet;
-    out.accuracyDegraded = run.accuracyDegraded;
-    out.certifiedError = run.certifiedError;
-    out.failures = std::move(run.failures);
     if (util_weight > 0)
         out.projectedDramUtilPct /= util_weight;
     return out;
@@ -402,22 +400,14 @@ simulateSelection(const sim::GpuSimulator &simulator, const Workload &w,
                              selection, pkp);
 }
 
-PkaAppResult
-runPka(const sim::SimEngine &engine, const Workload &traced,
-       const Workload &profiled, const silicon::SiliconGpu &gpu,
-       const sim::GpuSimulator &simulator, const PkaOptions &options,
-       const CampaignCheckpoint *checkpoint, const CampaignPolicy *policy)
-{
-    return runPka(engine, traced, profiled, gpu.run(profiled), gpu,
-                  simulator, options, checkpoint, policy);
-}
-
-PkaAppResult
-runPka(const sim::SimEngine &engine, const Workload &traced,
-       const Workload &profiled, const silicon::AppExecution &profiledSilicon,
-       const silicon::SiliconGpu &gpu, const sim::GpuSimulator &simulator,
-       const PkaOptions &options, const CampaignCheckpoint *checkpoint,
-       const CampaignPolicy *policy)
+common::Expected<PkaAppResult>
+runPkaChecked(const sim::SimEngine &engine, const Workload &traced,
+              const Workload &profiled,
+              const silicon::AppExecution &profiledSilicon,
+              const silicon::SiliconGpu &gpu,
+              const sim::GpuSimulator &simulator, const PkaOptions &options,
+              const CampaignCheckpoint *checkpoint,
+              const CampaignPolicy *policy)
 {
     PkaAppResult res;
     if (traced.launches.size() != profiled.launches.size()) {
@@ -429,7 +419,11 @@ runPka(const sim::SimEngine &engine, const Workload &traced,
         return res;
     }
 
-    res.selection = selectKernels(profiled, gpu, options, profiledSilicon);
+    common::Expected<SelectionOutcome> sel =
+        selectKernelsChecked(profiled, gpu, options, profiledSilicon);
+    if (!sel.ok())
+        return sel.error();
+    res.selection = std::move(sel.value());
     res.pks = simulateSelection(engine, simulator, traced, res.selection,
                                 nullptr, checkpoint, policy);
     res.pka = simulateSelection(engine, simulator, traced, res.selection,
@@ -442,8 +436,12 @@ runPka(const Workload &traced, const Workload &profiled,
        const silicon::SiliconGpu &gpu, const sim::GpuSimulator &simulator,
        const PkaOptions &options)
 {
-    return runPka(sim::SimEngine::shared(), traced, profiled, gpu,
-                  simulator, options);
+    common::Expected<PkaAppResult> res =
+        runPkaChecked(sim::SimEngine::shared(), traced, profiled,
+                      gpu.run(profiled), gpu, simulator, options);
+    if (!res.ok())
+        common::fatal(res.error().str());
+    return std::move(res.value());
 }
 
 } // namespace pka::core

@@ -155,24 +155,13 @@ std::string journalPath(const std::string &dir, const std::string &stage,
  * Run `jobs` through the engine in journal-checkpointed chunks: after
  * each chunk completes, its launch indices are journaled and flushed.
  * Results are returned in job order (the usual deterministic-reduction
- * contract). `journal` may be null (plain single fan-out). Any launch
- * failure is fatal — the legacy strict contract; campaigns that must
- * survive failures use runJobsCheckpointedChecked.
- */
-std::vector<sim::KernelSimResult>
-runJobsCheckpointed(const sim::SimEngine &engine,
-                    const sim::GpuSimulator &simulator,
-                    const std::vector<sim::SimJob> &jobs,
-                    sim::EngineStats *stats,
-                    store::CampaignJournal *journal,
-                    size_t chunk_launches);
-
-/**
- * Fault-tolerant variant: failed launches are recorded instead of fatal,
- * quarantine decisions are persisted to (and resumed from) the journal,
- * and `policy` decides fail-fast and the completion quorum. Only
- * completed launch indices are journaled, so an interrupted or partially
- * failed campaign resumes exactly the unfinished work.
+ * contract). `journal` may be null (plain single fan-out). Failed
+ * launches are recorded instead of fatal, quarantine decisions are
+ * persisted to (and resumed from) the journal, and `policy` decides
+ * fail-fast and the completion quorum. Only completed launch indices
+ * are journaled, so an interrupted or partially failed campaign resumes
+ * exactly the unfinished work. Campaigns normally go through
+ * runCampaign, which opens the journal and applies the strict contract.
  */
 CampaignRunOutcome
 runJobsCheckpointedChecked(const sim::SimEngine &engine,
@@ -182,6 +171,80 @@ runJobsCheckpointedChecked(const sim::SimEngine &engine,
                            sim::EngineStats *stats,
                            store::CampaignJournal *journal,
                            size_t chunk_launches);
+
+/**
+ * Accounting of one campaign, the same for every campaign kind (full
+ * simulation, a PKS/PKA selection, a single iteration). runCampaign
+ * fills it; FullSimResult, AppProjection and SingleIterationResult
+ * extend it with their own reductions.
+ */
+struct CampaignReport
+{
+    double wallSeconds = 0.0; ///< host wall time of the fan-outs
+
+    /**
+     * Summed per-kernel simulation time — the serial-equivalent cost.
+     * Under a parallel engine wallSeconds shrinks while this stays put,
+     * so speedup-over-serial comparisons stay honest.
+     */
+    double cpuSeconds = 0.0;
+    uint64_t cacheHits = 0;   ///< launches answered from the memory cache
+    uint64_t storeHits = 0;   ///< launches answered from the disk store
+    uint64_t cacheMisses = 0; ///< launches actually simulated
+    uint64_t corruptSkipped = 0;  ///< corrupt store records skipped
+    uint64_t resumedLaunches = 0; ///< journaled complete before this run
+
+    // Similarity-tier provenance (all zero with the tier off, the
+    // default). projectedLaunches counts every launch whose result
+    // carries a projection tag; projErrBound is the worst estimated
+    // relative error among them.
+    uint64_t simTierHits = 0;       ///< fresh similarity projections
+    uint64_t projectedLaunches = 0; ///< launches answered by projection
+    double projErrBound = 0.0;      ///< worst-case estimated error
+
+    // Fault-tolerance accounting (empty/zero/true on a clean run).
+    std::vector<sim::LaunchFailure> failures; ///< launch-order detail
+    uint64_t quarantinedKernels = 0; ///< distinct kernels quarantined
+    bool quorumMet = true;           ///< campaign met its quorum policy
+
+    // Accuracy-SLO accounting (CampaignPolicy::errorBudget): the budget
+    // tripped mid-campaign and the tail ran simulate-through.
+    bool accuracyDegraded = false;
+    double certifiedError = 0.0; ///< final mean certified error
+
+    /** Share of launches answered by projection, in percent. */
+    double projectedPct() const
+    {
+        uint64_t total = cacheHits + storeHits + simTierHits + cacheMisses;
+        return total == 0 ? 0.0
+                          : 100.0 * static_cast<double>(projectedLaunches) /
+                                static_cast<double>(total);
+    }
+};
+
+/**
+ * Run one campaign: the one path every campaign kind takes. With a
+ * checkpoint directory it opens (and with checkpoint->resume, resumes)
+ * the stage's journal at journalPath(dir, stage, identityKey()) —
+ * identityKey is called only then — and fans `jobs` out through
+ * runJobsCheckpointedChecked in checkpoint->chunkLaunches chunks.
+ *
+ * `policy` == nullptr is the strict contract: any failed launch is
+ * fatal ("simulation failed: ..."). Non-null = fault-tolerant: failures
+ * are recorded and `policy` decides fail-fast and the quorum.
+ *
+ * Fills `report` (engine counters, failures, quorum, accuracy verdict,
+ * resume credit) and returns the outcome, whose failures have moved
+ * into report.failures; results/completed are in job order.
+ */
+CampaignRunOutcome runCampaign(const sim::SimEngine &engine,
+                               const sim::GpuSimulator &simulator,
+                               const std::vector<sim::SimJob> &jobs,
+                               const std::string &stage,
+                               const std::function<uint64_t()> &identityKey,
+                               const CampaignCheckpoint *checkpoint,
+                               const CampaignPolicy *policy,
+                               CampaignReport &report);
 
 /** Whole-methodology options; the paper's defaults everywhere. */
 struct PkaOptions
@@ -268,43 +331,16 @@ SelectionOutcome selectKernels(const pka::workload::Workload &w,
                                const silicon::AppExecution &silicon);
 
 /** Projected whole-app simulation statistics from representative runs. */
-struct AppProjection
+struct AppProjection : CampaignReport
 {
+    // When representatives fail under a CampaignPolicy, the projected
+    // aggregates are renormalized over the surviving group weight, so
+    // the projection stays an estimate of the *whole* app rather than
+    // silently shrinking.
     double projectedCycles = 0.0;     ///< sum over groups: rep x weight
     double projectedThreadInsts = 0.0;
     double projectedDramUtilPct = 0.0; ///< cycle-weighted over groups
     double simulatedCycles = 0.0;      ///< simulation cost actually paid
-    double simulatedWallSeconds = 0.0; ///< host wall time of that cost
-
-    /**
-     * Summed per-kernel simulation time — the serial-equivalent cost.
-     * Equals simulatedWallSeconds at one thread (minus pool overhead);
-     * under a parallel engine, wall shrinks while this stays put, so
-     * speedup-over-serial comparisons stay honest.
-     */
-    double simulatedCpuSeconds = 0.0;
-    uint64_t cacheHits = 0;   ///< launches answered from the memory cache
-    uint64_t storeHits = 0;   ///< launches answered from the disk store
-    uint64_t cacheMisses = 0; ///< launches actually simulated
-    uint64_t corruptSkipped = 0; ///< corrupt store records skipped
-
-    // Similarity-tier provenance (zero with the tier off, the default).
-    uint64_t simTierHits = 0;       ///< fresh similarity projections
-    uint64_t projectedLaunches = 0; ///< representatives projected
-    double projErrBound = 0.0;      ///< worst-case estimated error
-
-    // Fault-tolerance accounting (all zero/true on a clean run). When
-    // representatives fail, projected aggregates are renormalized over
-    // the surviving group weight, so the projection stays an estimate of
-    // the *whole* app rather than silently shrinking.
-    uint64_t failedLaunches = 0;     ///< representatives that failed
-    uint64_t quarantinedKernels = 0; ///< distinct kernels quarantined
-    bool quorumMet = true;           ///< campaign met its quorum policy
-    std::vector<sim::LaunchFailure> failures; ///< per-launch detail
-
-    // Accuracy-SLO accounting (CampaignPolicy::errorBudget).
-    bool accuracyDegraded = false; ///< budget tripped; tail simulated
-    double certifiedError = 0.0;   ///< final mean certified error
 
     /** Projected whole-app IPC. */
     double projectedIpc() const
@@ -354,7 +390,8 @@ struct PkaAppResult
 };
 
 /**
- * Run the complete PKA methodology.
+ * Run the complete PKA methodology on the process-wide shared engine
+ * (runPkaChecked adapter: a selection error is fatal).
  *
  * @param traced the launch stream as traced for simulation
  * @param profiled the stream as observed under the silicon profiler;
@@ -368,34 +405,25 @@ PkaAppResult runPka(const pka::workload::Workload &traced,
                     const PkaOptions &options = {});
 
 /**
- * runPka with an explicit campaign engine, optional checkpointing (the
- * PKS and PKA stages journal independently) and optional campaign
- * failure policy (nullptr = strict: any launch failure is fatal).
+ * runPka with an explicit campaign engine, the profiled stream's silicon
+ * pass supplied by the caller (`profiledSilicon` must be
+ * gpu.run(profiled), so a caller that also reports silicon totals runs
+ * silicon once), optional checkpointing (the PKS and PKA stages journal
+ * independently) and optional campaign failure policy (nullptr =
+ * strict: any launch failure is fatal). A selection error (e.g. a
+ * malformed profile under options.strictProfiles) is returned, not
+ * fatal; an excluded workload is a result, not an error.
  */
-PkaAppResult runPka(const sim::SimEngine &engine,
-                    const pka::workload::Workload &traced,
-                    const pka::workload::Workload &profiled,
-                    const silicon::SiliconGpu &gpu,
-                    const sim::GpuSimulator &simulator,
-                    const PkaOptions &options = {},
-                    const CampaignCheckpoint *checkpoint = nullptr,
-                    const CampaignPolicy *policy = nullptr);
-
-/**
- * runPka with the profiled stream's silicon pass supplied by the caller
- * (`profiledSilicon` must be gpu.run(profiled)), so a caller that also
- * reports silicon totals runs silicon once. Bit-identical to the
- * overload above.
- */
-PkaAppResult runPka(const sim::SimEngine &engine,
-                    const pka::workload::Workload &traced,
-                    const pka::workload::Workload &profiled,
-                    const silicon::AppExecution &profiledSilicon,
-                    const silicon::SiliconGpu &gpu,
-                    const sim::GpuSimulator &simulator,
-                    const PkaOptions &options = {},
-                    const CampaignCheckpoint *checkpoint = nullptr,
-                    const CampaignPolicy *policy = nullptr);
+common::Expected<PkaAppResult>
+runPkaChecked(const sim::SimEngine &engine,
+              const pka::workload::Workload &traced,
+              const pka::workload::Workload &profiled,
+              const silicon::AppExecution &profiledSilicon,
+              const silicon::SiliconGpu &gpu,
+              const sim::GpuSimulator &simulator,
+              const PkaOptions &options = {},
+              const CampaignCheckpoint *checkpoint = nullptr,
+              const CampaignPolicy *policy = nullptr);
 
 } // namespace pka::core
 

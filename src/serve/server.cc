@@ -492,7 +492,7 @@ Server::handleConnection(Fd fd)
                 .addDouble("dram", fs.dramUtilPct)
                 .addUint("launches", w.launches.size())
                 .addUint("resumed", fs.resumedLaunches)
-                .addUint("failed", fs.failedLaunches)
+                .addUint("failed", fs.failures.size())
                 .addUint("quarantined", fs.quarantinedKernels)
                 .addUint("quorum", fs.quorumMet ? 1 : 0)
                 .addUint("cache_hits", fs.cacheHits)
@@ -701,7 +701,7 @@ Server::handleConnection(Fd fd)
                 .addUint("shadow_div", s.stats.shadowDivergences)
                 .addUint("resident", s.stats.maxResidentProfiles)
                 .addUint("resident_bytes", s.stats.residentBytes())
-                .addUint("failed", proj.failedLaunches)
+                .addUint("failed", proj.failures.size())
                 .addUint("quorum", proj.quorumMet ? 1 : 0);
             // Release the campaign slot before replying: a client
             // acting on the RESULT must be admissible immediately.

@@ -624,23 +624,6 @@ SimEngine::runChecked(const GpuSimulator &simulator,
     return results;
 }
 
-std::vector<KernelSimResult>
-SimEngine::run(const GpuSimulator &simulator,
-               const std::vector<SimJob> &jobs, EngineStats *stats,
-               unsigned priority) const
-{
-    std::vector<common::Expected<KernelSimResult>> checked =
-        runChecked(simulator, jobs, stats, priority);
-    std::vector<KernelSimResult> results;
-    results.reserve(checked.size());
-    for (auto &c : checked) {
-        if (!c.ok())
-            pka::common::fatal("simulation failed: " + c.error().str());
-        results.push_back(std::move(c.value()));
-    }
-    return results;
-}
-
 KernelSimResult
 SimEngine::simulateOne(const GpuSimulator &simulator, const SimJob &job,
                        EngineStats *stats) const

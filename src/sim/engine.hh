@@ -172,7 +172,7 @@ struct EngineOptions
 
 /**
  * One failed launch in an engine run. `index` is the position within the
- * jobs vector of that runChecked()/run() call — callers that submit in
+ * jobs vector of that runChecked() call — callers that submit in
  * chunks (e.g. the checkpointed campaign loop) offset it into campaign
  * space before reporting.
  */
@@ -299,9 +299,9 @@ kernelSimKeyHash(const KernelSimKey &k)
 }
 
 /**
- * Parallel, memoizing campaign engine. Thread-safe: run() may be called
- * from multiple threads (runs serialize on the pool) and the cache is
- * internally sharded. One engine can serve simulators of different
+ * Parallel, memoizing campaign engine. Thread-safe: runChecked() may be
+ * called from multiple threads (runs serialize on the pool) and the cache
+ * is internally sharded. One engine can serve simulators of different
  * device specs — the spec is part of the cache key.
  */
 class SimEngine
@@ -320,24 +320,10 @@ class SimEngine
     unsigned threads() const { return pool_->size(); }
 
     /**
-     * Simulate every job against `simulator`; results are returned in
-     * job order regardless of execution interleaving, so any reduction
-     * over them is deterministic for every thread count. Any failure is
-     * fatal (the legacy contract): use runChecked() for campaigns that
-     * must survive failing tasks.
-     *
-     * `priority` orders this run against other runs *queued on the same
-     * engine* (the serve daemon's multiplexed campaigns): the pool
-     * admits the highest-priority waiter first, FIFO within a priority.
-     * Scheduling only — results and cache keys never depend on it.
-     */
-    std::vector<KernelSimResult>
-    run(const GpuSimulator &simulator, const std::vector<SimJob> &jobs,
-        EngineStats *stats = nullptr, unsigned priority = 0) const;
-
-    /**
-     * Fault-tolerant variant of run(): every job yields either a result
-     * or a structured TaskError, in job order. Per job the engine
+     * Simulate every job against `simulator`: every job yields either a
+     * result or a structured TaskError, in job order regardless of
+     * execution interleaving, so any reduction over them is
+     * deterministic for every thread count. Per job the engine
      *   1. skips it immediately if its kernel is quarantined,
      *   2. arms the per-attempt watchdog (taskTimeoutSec /
      *      taskCycleBudget) and simulates,
@@ -346,9 +332,15 @@ class SimEngine
      *   4. quarantines the kernel (by launch content hash) once every
      *      attempt failed, so later launches of the same kernel skip in
      *      O(1).
-     * Clean-path behaviour is bit-identical to run(): no watchdog is
-     * armed unless configured, and the quarantine probe is a relaxed
-     * load while the set is empty.
+     * On the clean path no watchdog is armed unless configured, and
+     * the quarantine probe is a relaxed load while the set is empty.
+     * Whether a failure is fatal is the campaign's decision
+     * (core::runCampaign), not the engine's.
+     *
+     * `priority` orders this run against other runs *queued on the same
+     * engine* (the serve daemon's multiplexed campaigns): the pool
+     * admits the highest-priority waiter first, FIFO within a priority.
+     * Scheduling only — results and cache keys never depend on it.
      */
     std::vector<common::Expected<KernelSimResult>>
     runChecked(const GpuSimulator &simulator,

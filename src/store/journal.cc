@@ -128,6 +128,26 @@ CampaignJournal::loadExisting(uint64_t campaign_key)
         return false;
     }
 
+    // A torn final line (the crash that interrupted the previous run) or
+    // any other garbage ends the readable prefix — the entries before it
+    // are still trusted. Cut the tail off before this run appends: a
+    // line written after torn bytes would fuse with them ("done,done,7")
+    // and end the trusted prefix for every later resume.
+    if (j.goodBytes < bytes.size()) {
+        warn(strfmt("campaign journal '%s': ignoring unreadable tail "
+                    "starting at '%.32s'",
+                    path_.c_str(), bytes.c_str() + j.goodBytes));
+        std::error_code ec;
+        std::filesystem::resize_file(path_, j.goodBytes, ec);
+        if (ec) {
+            warn(strfmt("campaign journal '%s': cannot truncate the "
+                        "unreadable tail (%s); restarting the campaign "
+                        "from scratch",
+                        path_.c_str(), ec.message().c_str()));
+            return false;
+        }
+    }
+
     for (uint64_t idx : j.done) {
         if (!done_[idx]) {
             done_[idx] = 1;
@@ -135,13 +155,6 @@ CampaignJournal::loadExisting(uint64_t campaign_key)
         }
     }
     quarantined_ = std::move(j.quarantined);
-    // A torn final line (the crash that interrupted the previous run) or
-    // any other garbage ends the readable prefix — the entries before it
-    // are still trusted.
-    if (j.goodBytes < bytes.size())
-        warn(strfmt("campaign journal '%s': ignoring unreadable tail "
-                    "starting at '%.32s'",
-                    path_.c_str(), bytes.c_str() + j.goodBytes));
     return true;
 }
 

@@ -75,9 +75,10 @@ class CampaignJournal
     /**
      * Open the journal at `path` for a campaign of `launches` launches
      * identified by `campaignKey`. With resume=true a matching existing
-     * journal is loaded (completed() reports its entries) and appended
-     * to; otherwise, or on key/count mismatch or corruption, the journal
-     * restarts empty. Opening never fails fatally: an unwritable path
+     * journal is loaded (completed() reports its entries), cut back to
+     * its last whole line (a torn tail is dropped) and appended to;
+     * otherwise, or on key/count mismatch or a corrupt header, the
+     * journal restarts empty. Opening never fails fatally: an unwritable path
      * degrades to a warned no-op journal.
      */
     CampaignJournal(std::string path, uint64_t campaignKey,

@@ -655,7 +655,7 @@ TEST(ErrorBudget, TripSwitchesTailToSimulateThrough)
     // result, none failed) but the tail ran simulate-through.
     EXPECT_TRUE(res.accuracyDegraded);
     EXPECT_GT(res.certifiedError, policy.errorBudget);
-    EXPECT_EQ(res.failedLaunches, 0u);
+    EXPECT_EQ(res.failures.size(), 0u);
     EXPECT_TRUE(res.quorumMet);
     EXPECT_EQ(res.perKernel.size(), w.launches.size());
     // At least one launch projected (that is what tripped it), and at

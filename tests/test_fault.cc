@@ -671,7 +671,6 @@ TEST_F(CampaignFaultsTest, HungAndThrowingKernelsQuarantineAndReweight)
     // Exactly the two poisoned kernels are quarantined; every launch of
     // either fails, everything else completes.
     EXPECT_EQ(fs.quarantinedKernels, 2u);
-    EXPECT_EQ(fs.failedLaunches, s.victimLaunches);
     EXPECT_EQ(fs.perKernel.size(),
               s.w.launches.size() - s.victimLaunches);
     size_t completed = s.w.launches.size() - s.victimLaunches;
@@ -710,7 +709,7 @@ TEST_F(CampaignFaultsTest, FailFastStopsTheCampaignNonSuccessfully)
     pka::core::FullSimResult fs = pka::core::fullSimulate(
         engine, simulator, s.w, nullptr, &policy);
     EXPECT_FALSE(fs.quorumMet); // fail-fast never reports success
-    EXPECT_GT(fs.failedLaunches, 0u);
+    EXPECT_GT(fs.failures.size(), 0u);
     ASSERT_FALSE(fs.failures.empty());
     EXPECT_THAT(fs.failures.front().error.str(), HasSubstr("kernel"));
 }
@@ -776,8 +775,121 @@ TEST_F(CampaignFaultsTest, QuarantineSurvivesResumeThroughTheJournal)
     cp.resume = true;
     pka::core::FullSimResult resumed = pka::core::fullSimulate(
         engine, simulator, w, &cp, &policy);
-    EXPECT_GT(resumed.failedLaunches, 0u);
+    EXPECT_GT(resumed.failures.size(), 0u);
     EXPECT_TRUE(engine.isQuarantined(victim));
     for (const auto &f : resumed.failures)
         EXPECT_THAT(f.error.message, HasSubstr("previous run"));
 }
+
+// ---------------------------------------------------------------------
+// CampaignFaults: the one strict/tolerant fork, for every campaign kind.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+enum class CampaignKind
+{
+    kFullSim,
+    kSelection,
+    kSingleIteration,
+};
+
+/** Two iterations of a four-kernel period (single-iteration needs one). */
+Workload
+periodicWorkload()
+{
+    Workload w = smallWorkload(4);
+    for (uint32_t i = 0; i < 4; ++i) {
+        KernelDescriptor k = w.launches[i];
+        k.launchId = 4 + i;
+        w.launches.push_back(std::move(k));
+    }
+    return w;
+}
+
+/** Run one campaign of `kind` over `w`; only its report is kept. */
+pka::core::CampaignReport
+runCampaignKind(CampaignKind kind, const SimEngine &engine,
+                const GpuSimulator &simulator, const Workload &w,
+                const pka::core::CampaignPolicy *policy)
+{
+    switch (kind) {
+    case CampaignKind::kFullSim:
+        return pka::core::fullSimulate(engine, simulator, w, nullptr,
+                                       policy);
+    case CampaignKind::kSelection: {
+        pka::core::SelectionOutcome sel;
+        for (uint32_t rep : {0u, 3u}) {
+            pka::core::KernelGroup g;
+            g.representative = rep;
+            g.weight = 4.0;
+            sel.groups.push_back(g);
+        }
+        return pka::core::simulateSelection(engine, simulator, w, sel,
+                                            nullptr, nullptr, policy);
+    }
+    case CampaignKind::kSingleIteration:
+        return pka::core::singleIterationBaseline(engine, simulator, w,
+                                                  nullptr, policy);
+    }
+    return {};
+}
+
+class CampaignForkTest : public FaultFixture,
+                         public ::testing::WithParamInterface<CampaignKind>
+{
+  protected:
+    /** Every launch throws on every attempt. */
+    static void armEveryLaunch()
+    {
+        std::vector<FaultSpec> specs;
+        specs.push_back({.site = "worker.exec", .kind = FaultKind::kThrow});
+        FaultInjector::instance().configure(specs, faultSeed());
+    }
+
+    GpuSimulator simulator{voltaV100()};
+    Workload w = periodicWorkload();
+};
+
+} // namespace
+
+TEST_P(CampaignForkTest, NullPolicyIsTheStrictContract)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            armEveryLaunch();
+            SimEngine engine(EngineOptions{.threads = 2});
+            runCampaignKind(GetParam(), engine, simulator, w, nullptr);
+        },
+        "simulation failed");
+}
+
+TEST_P(CampaignForkTest, DefaultPolicyReportsFailuresAndUnmetQuorum)
+{
+    armEveryLaunch();
+    SimEngine engine(EngineOptions{.threads = 2});
+    pka::core::CampaignPolicy policy;
+    pka::core::CampaignReport r =
+        runCampaignKind(GetParam(), engine, simulator, w, &policy);
+    EXPECT_FALSE(r.failures.empty());
+    EXPECT_FALSE(r.quorumMet);
+    EXPECT_GT(r.quarantinedKernels, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CampaignFaults, CampaignForkTest,
+    ::testing::Values(CampaignKind::kFullSim, CampaignKind::kSelection,
+                      CampaignKind::kSingleIteration),
+    [](const ::testing::TestParamInfo<CampaignKind> &info) {
+        switch (info.param) {
+        case CampaignKind::kFullSim:
+            return "FullSimulate";
+        case CampaignKind::kSelection:
+            return "SimulateSelection";
+        case CampaignKind::kSingleIteration:
+            return "SingleIterationBaseline";
+        }
+        return "Unknown";
+    });

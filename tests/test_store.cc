@@ -597,6 +597,32 @@ TEST(CampaignJournal, TornTailIsToleratedGarbageIsNot)
     }
 }
 
+TEST(CampaignJournal, ResumeAfterTornTailKeepsLaterCompletions)
+{
+    TempDir dir;
+    std::string path = (dir.path() / "journal.pkj").string();
+    {
+        CampaignJournal j(path, 42, 10, false);
+        j.markDone({0, 1});
+    }
+    {
+        std::ofstream os(path, std::ios::app);
+        os << "done,"; // torn final line, as a crash mid-append leaves it
+    }
+    {
+        CampaignJournal j(path, 42, 10, true);
+        EXPECT_EQ(j.resumedCount(), 2u);
+        j.markDone({2, 3, 4});
+    }
+    // The completions journaled after the tear survive the next resume:
+    // the torn bytes were cut off instead of fusing with "done,2".
+    CampaignJournal j(path, 42, 10, true);
+    EXPECT_EQ(j.resumedCount(), 5u);
+    FsckReport rep = fsckStore(dir.str(), {});
+    EXPECT_EQ(rep.journalsScanned, 1u);
+    EXPECT_TRUE(rep.clean());
+}
+
 TEST(Checkpoint, InterruptedCampaignResumesBitIdentically)
 {
     TempDir dir;
@@ -619,7 +645,7 @@ TEST(Checkpoint, InterruptedCampaignResumesBitIdentically)
             prefix[i].kernel = &w.launches[i];
             prefix[i].workloadSeed = w.seed;
         }
-        engine.run(simulator, prefix);
+        engine.runChecked(simulator, prefix);
 
         uint64_t key =
             pka::core::campaignKey(simulator, w, engine, "fullsim");
@@ -700,6 +726,56 @@ TEST(Checkpoint, SelectionCampaignJournalsAndResumes)
     EXPECT_EQ(second.cacheMisses, 0u);
     EXPECT_EQ(second.projectedCycles, first.projectedCycles);
     EXPECT_EQ(second.simulatedCycles, first.simulatedCycles);
+}
+
+TEST(Checkpoint, SingleIterationCampaignJournalsAndResumes)
+{
+    TempDir dir;
+    GpuSimulator simulator(voltaV100());
+    // Three iterations of a three-kernel period; the kernels of one
+    // iteration differ in content, so each is its own store record.
+    Workload w;
+    w.suite = "test";
+    w.name = "store_periodic";
+    w.seed = 42;
+    ProgramPtr progs[] = {storeProg("fwd"), storeProg("bwd"),
+                          storeProg("step")};
+    for (uint32_t i = 0; i < 9; ++i) {
+        KernelDescriptor k;
+        k.launchId = i;
+        k.program = progs[i % 3];
+        k.grid = {40 + (i % 3) * 24, 1, 1};
+        k.block = {128, 1, 1};
+        k.iterations = 2;
+        k.ctaWorkCv = 0.3;
+        w.launches.push_back(std::move(k));
+    }
+
+    pka::core::CampaignCheckpoint cp;
+    cp.dir = dir.str();
+    cp.chunkLaunches = 2;
+
+    KernelResultStore store(dir.str());
+    SimEngine engine(storeOpts(&store));
+    pka::core::SingleIterationResult first =
+        pka::core::singleIterationBaseline(engine, simulator, w, &cp);
+    ASSERT_TRUE(first.applicable);
+    ASSERT_EQ(first.periodLaunches, 3u);
+    EXPECT_EQ(first.resumedLaunches, 0u);
+    EXPECT_EQ(first.cacheMisses, 3u);
+
+    // A fresh engine (cold memory cache) resumes the whole iteration
+    // from the journal and answers it from the store.
+    cp.resume = true;
+    SimEngine fresh(storeOpts(&store));
+    pka::core::SingleIterationResult second =
+        pka::core::singleIterationBaseline(fresh, simulator, w, &cp);
+    EXPECT_EQ(second.resumedLaunches, 3u);
+    EXPECT_EQ(second.storeHits, 3u);
+    EXPECT_EQ(second.cacheMisses, 0u);
+    EXPECT_EQ(second.simulatedCycles, first.simulatedCycles);
+    EXPECT_EQ(second.projectedAppCycles, first.projectedAppCycles);
+    EXPECT_GT(second.projectedAppCycles, 0.0);
 }
 
 TEST(Checkpoint, CampaignKeySeparatesStreamsAndStages)

@@ -268,46 +268,39 @@ policyFor(const CliArgs &args)
 }
 
 /**
- * Map the accuracy SLO onto the exit code: a campaign that tripped its
- * error budget completed (the tail ran simulate-through), but the
- * result is typed as degraded — exit 8, after any quorum failure.
+ * Print one campaign's health and map it to the process exit code: the
+ * structured per-launch failure report, then 0 when the quorum held and
+ * 3 when it did not (or --fail-fast stopped the run); a campaign that
+ * tripped its error budget completed (the tail ran simulate-through) but
+ * is typed as degraded — exit 8, after any quorum failure.
  */
 int
-reportAccuracy(const char *stage, int health_rc, bool degraded,
-               double certified)
+reportCampaign(const char *stage, const core::CampaignReport &r)
 {
-    if (!degraded)
-        return health_rc;
-    std::fprintf(stderr,
-                 "%s: accuracy budget exceeded (mean certified error "
-                 "%.4f); remaining launches ran simulate-through\n",
-                 stage, certified);
-    return health_rc != 0 ? health_rc : 8;
-}
-
-/**
- * Print the structured per-launch failure report and map campaign
- * health to the process exit code: 0 when the quorum held, 3 when it
- * did not (or --fail-fast stopped the run).
- */
-int
-reportCampaignHealth(const char *stage, uint64_t failed,
-                     uint64_t quarantined, bool quorum_met,
-                     const std::vector<sim::LaunchFailure> &failures)
-{
-    if (failures.empty() && quorum_met)
-        return 0;
-    std::fprintf(stderr,
-                 "%s: %llu launch(es) failed, %llu kernel(s) "
-                 "quarantined, quorum %s\n",
-                 stage, static_cast<unsigned long long>(failed),
-                 static_cast<unsigned long long>(quarantined),
-                 quorum_met ? "met" : "NOT met");
-    for (const auto &f : failures)
-        std::fprintf(stderr, "  launch %llu: %s\n",
-                     static_cast<unsigned long long>(f.index),
-                     f.error.str().c_str());
-    return quorum_met ? 0 : 3;
+    int rc = 0;
+    if (!r.failures.empty() || !r.quorumMet) {
+        std::fprintf(stderr,
+                     "%s: %llu launch(es) failed, %llu kernel(s) "
+                     "quarantined, quorum %s\n",
+                     stage,
+                     static_cast<unsigned long long>(r.failures.size()),
+                     static_cast<unsigned long long>(r.quarantinedKernels),
+                     r.quorumMet ? "met" : "NOT met");
+        for (const auto &f : r.failures)
+            std::fprintf(stderr, "  launch %llu: %s\n",
+                         static_cast<unsigned long long>(f.index),
+                         f.error.str().c_str());
+        rc = r.quorumMet ? 0 : 3;
+    }
+    if (r.accuracyDegraded) {
+        std::fprintf(stderr,
+                     "%s: accuracy budget exceeded (mean certified error "
+                     "%.4f); remaining launches ran simulate-through\n",
+                     stage, r.certifiedError);
+        if (rc == 0)
+            rc = 8;
+    }
+    return rc;
 }
 
 /** PKA options from the shared robustness flags. */
@@ -575,7 +568,7 @@ cmdSimulate(const CliArgs &args)
                     sel.groups.size(), args.has("pkp") ? ", PKP" : "",
                     proj.projectedCycles, proj.projectedIpc(),
                     proj.projectedDramUtilPct, proj.simulatedCycles,
-                    proj.simulatedWallSeconds, proj.simulatedCpuSeconds,
+                    proj.wallSeconds, proj.cpuSeconds,
                     static_cast<unsigned long long>(proj.cacheHits),
                     static_cast<unsigned long long>(proj.storeHits),
                     static_cast<unsigned long long>(proj.cacheMisses));
@@ -587,12 +580,7 @@ cmdSimulate(const CliArgs &args)
                             proj.projectedLaunches),
                         static_cast<unsigned long long>(proj.simTierHits),
                         100.0 * proj.projErrBound);
-        int rc = reportCampaignHealth("selection simulation",
-                                      proj.failedLaunches,
-                                      proj.quarantinedKernels,
-                                      proj.quorumMet, proj.failures);
-        return reportAccuracy("selection simulation", rc,
-                              proj.accuracyDegraded, proj.certifiedError);
+        return reportCampaign("selection simulation", proj);
     }
 
     if (!core::isFullySimulable(w) && !args.has("force"))
@@ -630,11 +618,7 @@ cmdSimulate(const CliArgs &args)
                     w.launches.size(), fs.projectedPct(),
                     static_cast<unsigned long long>(fs.simTierHits),
                     100.0 * fs.projErrBound);
-    int rc = reportCampaignHealth("full simulation", fs.failedLaunches,
-                                  fs.quarantinedKernels, fs.quorumMet,
-                                  fs.failures);
-    return reportAccuracy("full simulation", rc, fs.accuracyDegraded,
-                          fs.certifiedError);
+    return reportCampaign("full simulation", fs);
 }
 
 int
@@ -680,20 +664,20 @@ cmdAnalyze(const CliArgs &args)
     // One silicon pass serves selection, its cost models and the
     // reported silicon total.
     const silicon::AppExecution sil = gpu.run(profiled);
-    if (opts.strictProfiles) {
-        // Pre-flight the selection so strict validation failures exit
-        // with a distinct code instead of a generic fatal inside runPka.
-        auto checked = core::selectKernelsChecked(profiled, gpu, opts, sil);
-        if (!checked.ok()) {
-            std::fprintf(stderr, "selection: %s\n",
-                         checked.error().str().c_str());
-            return 4;
-        }
-    }
-    core::PkaAppResult res = core::runPka(
+    common::Expected<core::PkaAppResult> checked = core::runPkaChecked(
         sim::SimEngine::shared(), traced, profiled, sil, gpu, simulator,
         opts, cp.dir.empty() ? nullptr : &cp,
         wantsTolerantCampaign(args) ? &policy : nullptr);
+    if (!checked.ok()) {
+        // Strict validation failures exit with a distinct code; any
+        // other selection error stays a generic fatal.
+        if (!opts.strictProfiles)
+            common::fatal(checked.error().str());
+        std::fprintf(stderr, "selection: %s\n",
+                     checked.error().str().c_str());
+        return 4;
+    }
+    const core::PkaAppResult &res = checked.value();
     if (res.excluded) {
         std::printf("EXCLUDED: %s\n", res.exclusionReason.c_str());
         return 2;
@@ -742,16 +726,8 @@ cmdAnalyze(const CliArgs &args)
                         res.pka.projectedLaunches),
                     100.0 * std::max(res.pks.projErrBound,
                                      res.pka.projErrBound));
-    int rc_pks = reportCampaignHealth(
-        "PKS stage", res.pks.failedLaunches, res.pks.quarantinedKernels,
-        res.pks.quorumMet, res.pks.failures);
-    rc_pks = reportAccuracy("PKS stage", rc_pks, res.pks.accuracyDegraded,
-                            res.pks.certifiedError);
-    int rc_pka = reportCampaignHealth(
-        "PKA stage", res.pka.failedLaunches, res.pka.quarantinedKernels,
-        res.pka.quorumMet, res.pka.failures);
-    rc_pka = reportAccuracy("PKA stage", rc_pka, res.pka.accuracyDegraded,
-                            res.pka.certifiedError);
+    int rc_pks = reportCampaign("PKS stage", res.pks);
+    int rc_pka = reportCampaign("PKA stage", res.pka);
     return rc_pks != 0 ? rc_pks : rc_pka;
 }
 
